@@ -6,15 +6,17 @@
 //! instance A's query phase is inadvertently serialized (workers never
 //! compute simultaneously), and instance B's workers sit idle while the
 //! master initializes. These functions extract the same evidence from
-//! the SLOG2 data so the reproduction can assert on it. Category
-//! lookups go through [`CategoryMap`] — resolved once, no string
-//! comparisons per drawable.
+//! the SLOG2 data so the reproduction can assert on it. The free
+//! functions are thin wrappers over [`TraceAnalyzer`], whose
+//! [`TraceIndex`](crate::TraceIndex) resolves the categories once and
+//! walks the tree once.
 
 use std::collections::BTreeMap;
 
-use slog2::{CategoryMap, Drawable, Slog2File, TimeWindow, TimelineId, WellKnownCategory};
+use slog2::{Slog2File, TimeWindow, TimelineId, WellKnownCategory};
 
-use crate::intervals::{merge_intervals, subtract_intervals, total_seconds};
+use crate::intervals::total_seconds;
+use crate::TraceAnalyzer;
 
 /// Per-timeline activity summary.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -39,50 +41,15 @@ pub fn timeline_state_seconds(
     }
 }
 
-pub(crate) fn busy_intervals_with(
-    file: &Slog2File,
-    map: &CategoryMap,
-    timeline: TimelineId,
-) -> Vec<(f64, f64)> {
-    let compute = map.id(WellKnownCategory::Compute);
-    let read = map.id(WellKnownCategory::PiRead);
-    let select = map.id(WellKnownCategory::PiSelect);
-    let mut compute_iv = Vec::new();
-    let mut blocked_iv = Vec::new();
-    for d in file.tree.query(TimeWindow::ALL) {
-        if let Drawable::State(s) = d {
-            if s.timeline != timeline {
-                continue;
-            }
-            if Some(s.category) == compute {
-                compute_iv.push((s.start, s.end));
-            } else if Some(s.category) == read || Some(s.category) == select {
-                blocked_iv.push((s.start, s.end));
-            }
-        }
-    }
-    subtract_intervals(&merge_intervals(compute_iv), &merge_intervals(blocked_iv))
-}
-
 /// The intervals during which `timeline` is computing: inside its
 /// Compute state but not blocked in `PI_Read` or `PI_Select`.
 pub fn busy_intervals(file: &Slog2File, timeline: TimelineId) -> Vec<(f64, f64)> {
-    busy_intervals_with(file, &file.category_map(), timeline)
+    TraceAnalyzer::new(file).busy_intervals(timeline)
 }
 
 /// Activity summary for one timeline.
 pub fn timeline_activity(file: &Slog2File, timeline: TimelineId) -> TimelineActivity {
-    let get = |w: WellKnownCategory| {
-        timeline_state_seconds(file, w)
-            .get(&timeline)
-            .copied()
-            .unwrap_or(0.0)
-    };
-    TimelineActivity {
-        compute_span: get(WellKnownCategory::Compute),
-        blocked: get(WellKnownCategory::PiRead) + get(WellKnownCategory::PiSelect),
-        busy: total_seconds(&busy_intervals(file, timeline)),
-    }
+    TraceAnalyzer::new(file).timeline_activity(timeline)
 }
 
 /// Fraction of "some timeline is busy" time during which **two or
@@ -96,76 +63,88 @@ pub fn parallel_overlap(
     timelines: &[TimelineId],
     window: Option<TimeWindow>,
 ) -> f64 {
-    let map = file.category_map();
-    // Sweep over busy-interval edges counting concurrency.
-    let mut events: Vec<(f64, i32)> = Vec::new();
-    for &tl in timelines {
-        for (mut s, mut e) in busy_intervals_with(file, &map, tl) {
-            if let Some(w) = window {
-                s = s.max(w.t0);
-                e = e.min(w.t1);
-                if s >= e {
-                    continue;
-                }
-            }
-            events.push((s, 1));
-            events.push((e, -1));
-        }
-    }
-    events.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)));
-    let mut depth = 0i32;
-    let mut prev = f64::NAN;
-    let mut any = 0.0;
-    let mut multi = 0.0;
-    for (t, delta) in events {
-        if prev.is_finite() && t > prev {
-            if depth >= 1 {
-                any += t - prev;
-            }
-            if depth >= 2 {
-                multi += t - prev;
-            }
-        }
-        depth += delta;
-        prev = t;
-    }
-    if any > 0.0 {
-        multi / any
-    } else {
-        0.0
-    }
+    TraceAnalyzer::new(file).parallel_overlap(timelines, window)
 }
 
 /// Seconds from the start of each worker's Compute state until its
 /// first message-arrival bubble — instance B's "kept waiting till
 /// PI_MAIN did 11 seconds of initialization".
 pub fn idle_until_first_arrival(file: &Slog2File) -> BTreeMap<TimelineId, f64> {
-    let map = file.category_map();
-    let compute = map.id(WellKnownCategory::Compute);
-    let arrival = map.id(WellKnownCategory::MsgArrival);
-    let mut compute_start: BTreeMap<TimelineId, f64> = BTreeMap::new();
-    let mut first_arrival: BTreeMap<TimelineId, f64> = BTreeMap::new();
-    for d in file.tree.query(TimeWindow::ALL) {
-        match d {
-            Drawable::State(s) if Some(s.category) == compute => {
-                compute_start
-                    .entry(s.timeline)
-                    .and_modify(|t| *t = t.min(s.start))
-                    .or_insert(s.start);
-            }
-            Drawable::Event(e) if Some(e.category) == arrival => {
-                first_arrival
-                    .entry(e.timeline)
-                    .and_modify(|t| *t = t.min(e.time))
-                    .or_insert(e.time);
-            }
-            _ => {}
+    TraceAnalyzer::new(file).idle_until_first_arrival()
+}
+
+impl TraceAnalyzer<'_> {
+    /// Busy intervals of one timeline; see [`busy_intervals`].
+    pub fn busy_intervals(&self, timeline: TimelineId) -> Vec<(f64, f64)> {
+        self.index().busy(timeline).to_vec()
+    }
+
+    /// Activity summary for one timeline; see [`timeline_activity`].
+    pub fn timeline_activity(&self, timeline: TimelineId) -> TimelineActivity {
+        let ix = self.index();
+        let (compute_span, blocked) = ix
+            .lane(timeline)
+            .map_or((0.0, 0.0), |l| (l.compute_span, l.read_s + l.select_s));
+        TimelineActivity {
+            compute_span,
+            blocked,
+            busy: total_seconds(ix.busy(timeline)),
         }
     }
-    compute_start
-        .into_iter()
-        .filter_map(|(tl, start)| first_arrival.get(&tl).map(|&a| (tl, (a - start).max(0.0))))
-        .collect()
+
+    /// Parallel-overlap fraction; see [`parallel_overlap`].
+    pub fn parallel_overlap(&self, timelines: &[TimelineId], window: Option<TimeWindow>) -> f64 {
+        // Sweep over busy-interval edges counting concurrency.
+        let mut events: Vec<(f64, i32)> = Vec::new();
+        for &tl in timelines {
+            for &(mut s, mut e) in self.index().busy(tl) {
+                if let Some(w) = window {
+                    s = s.max(w.t0);
+                    e = e.min(w.t1);
+                    if s >= e {
+                        continue;
+                    }
+                }
+                events.push((s, 1));
+                events.push((e, -1));
+            }
+        }
+        events.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)));
+        let mut depth = 0i32;
+        let mut prev = f64::NAN;
+        let mut any = 0.0;
+        let mut multi = 0.0;
+        for (t, delta) in events {
+            if prev.is_finite() && t > prev {
+                if depth >= 1 {
+                    any += t - prev;
+                }
+                if depth >= 2 {
+                    multi += t - prev;
+                }
+            }
+            depth += delta;
+            prev = t;
+        }
+        if any > 0.0 {
+            multi / any
+        } else {
+            0.0
+        }
+    }
+
+    /// Per-timeline idle seconds before the first message arrival;
+    /// see [`idle_until_first_arrival`].
+    pub fn idle_until_first_arrival(&self) -> BTreeMap<TimelineId, f64> {
+        self.index()
+            .lanes
+            .iter()
+            .filter_map(|(&tl, l)| {
+                let (start, arrival) = (l.compute_start?, l.first_arrival?);
+                Some((tl, (arrival - start).max(0.0)))
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -12,7 +12,10 @@
 
 use std::collections::BTreeMap;
 
-use slog2::{CategoryMap, Drawable, Slog2File, TimeWindow, TimelineId, WellKnownCategory};
+use slog2::{Slog2File, TimelineId};
+
+use crate::index::TraceIndex;
+use crate::TraceAnalyzer;
 
 /// One on-timeline stretch of the critical path.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,44 +107,104 @@ pub struct BlockAttribution {
     pub released_by: Option<ReleasingSend>,
 }
 
-fn blocked_intervals(file: &Slog2File, map: &CategoryMap) -> BTreeMap<TimelineId, Vec<(f64, f64)>> {
-    let read = map.id(WellKnownCategory::PiRead);
-    let select = map.id(WellKnownCategory::PiSelect);
-    let mut out: BTreeMap<TimelineId, Vec<(f64, f64)>> = BTreeMap::new();
-    for d in file.tree.query(TimeWindow::ALL) {
-        if let Drawable::State(s) = d {
-            if (Some(s.category) == read || Some(s.category) == select)
-                && s.start.is_finite()
-                && s.end.is_finite()
-                && s.start <= s.end
-            {
-                out.entry(s.timeline).or_default().push((s.start, s.end));
-            }
-        }
+impl TraceIndex {
+    /// The send that released the blocked interval `[s, e]` of `tl`:
+    /// the first arrow into `tl`, in `(recv, send, from, tag)` order,
+    /// whose receive lands inside the interval.
+    pub(crate) fn releasing_send(&self, tl: TimelineId, s: f64, e: f64) -> Option<ReleasingSend> {
+        let inbox = &self.lane(tl)?.inbox;
+        let &(recv_time, send_time, from, tag) = inbox.get(inbox.partition_point(|r| r.0 < s))?;
+        (recv_time <= e).then_some(ReleasingSend {
+            from,
+            send_time,
+            recv_time,
+            tag,
+        })
     }
-    for iv in out.values_mut() {
-        iv.sort_by(|a, b| a.0.total_cmp(&b.0));
-    }
-    out
 }
 
-fn finite_arrows(file: &Slog2File) -> Vec<(TimelineId, TimelineId, f64, f64, u32)> {
-    let mut arrows = Vec::new();
-    for d in file.tree.query(TimeWindow::ALL) {
-        if let Drawable::Arrow(a) = d {
-            if a.start.is_finite() && a.end.is_finite() && a.start <= a.end {
-                arrows.push((a.from_timeline, a.to_timeline, a.start, a.end, a.tag));
+impl TraceAnalyzer<'_> {
+    /// Attribute every blocked interval to its releasing send; see
+    /// [`attribute_blocks`].
+    pub fn blocked_intervals(&self) -> Vec<BlockAttribution> {
+        let ix = self.index();
+        let mut out = Vec::new();
+        for (&tl, lane) in &ix.lanes {
+            for &(start, end) in &lane.blocks {
+                out.push(BlockAttribution {
+                    timeline: tl,
+                    start,
+                    end,
+                    released_by: ix.releasing_send(tl, start, end),
+                });
             }
         }
+        out
     }
-    arrows.sort_by(|a, b| {
-        a.3.total_cmp(&b.3)
-            .then(a.2.total_cmp(&b.2))
-            .then(a.0.cmp(&b.0))
-            .then(a.1.cmp(&b.1))
-            .then(a.4.cmp(&b.4))
-    });
-    arrows
+
+    /// The critical path; see [`critical_path`].
+    pub fn critical_path(&self) -> CriticalPath {
+        let ix = self.index();
+        let (t_start, t_end) = (ix.t_start, ix.t_end);
+        let Some(mut tl) = ix.end_timeline else {
+            return CriticalPath {
+                t_start: self.file().range.t0,
+                t_end: self.file().range.t0,
+                ..Default::default()
+            };
+        };
+        let mut path = CriticalPath {
+            t_start,
+            t_end,
+            ..Default::default()
+        };
+        let mut cur = t_end;
+        loop {
+            // The latest release on `tl` at or before `cur` whose send
+            // precedes `cur` (strictness guarantees progress). Releases
+            // are sorted by (recv, send, from, tag), so the last match
+            // is the greatest (recv, send), latest on ties.
+            let jump = ix.lane(tl).and_then(|lane| {
+                let rs = &lane.releases;
+                rs[..rs.partition_point(|r| r.0 <= cur)]
+                    .iter()
+                    .rev()
+                    .take_while(|r| r.0 > t_start)
+                    .find(|r| r.1 < cur)
+                    .copied()
+            });
+            match jump {
+                Some((recv, send, from, tag)) => {
+                    path.segments.push(PathSegment {
+                        timeline: tl,
+                        start: recv,
+                        end: cur,
+                    });
+                    path.hops.push(PathHop {
+                        from,
+                        to: tl,
+                        send,
+                        recv,
+                        tag,
+                    });
+                    tl = from;
+                    cur = send;
+                    if cur <= t_start {
+                        break;
+                    }
+                }
+                None => {
+                    path.segments.push(PathSegment {
+                        timeline: tl,
+                        start: t_start,
+                        end: cur,
+                    });
+                    break;
+                }
+            }
+        }
+        path
+    }
 }
 
 /// Attribute every blocked interval (`PI_Read` / `PI_Select` state) to
@@ -149,29 +212,7 @@ fn finite_arrows(file: &Slog2File) -> Vec<(TimelineId, TimelineId, f64, f64, u32
 /// timeline whose receive instant lands inside the interval. Sorted by
 /// (timeline, start).
 pub fn attribute_blocks(file: &Slog2File) -> Vec<BlockAttribution> {
-    let map = file.category_map();
-    let arrows = finite_arrows(file);
-    let mut out = Vec::new();
-    for (tl, blocks) in blocked_intervals(file, &map) {
-        for (s, e) in blocks {
-            let released_by = arrows
-                .iter()
-                .find(|&&(_, to, _, recv, _)| to == tl && recv >= s && recv <= e)
-                .map(|&(from, _, send_time, recv_time, tag)| ReleasingSend {
-                    from,
-                    send_time,
-                    recv_time,
-                    tag,
-                });
-            out.push(BlockAttribution {
-                timeline: tl,
-                start: s,
-                end: e,
-                released_by,
-            });
-        }
-    }
-    out
+    TraceAnalyzer::new(file).blocked_intervals()
 }
 
 /// Compute the critical path of `file`.
@@ -182,100 +223,7 @@ pub fn attribute_blocks(file: &Slog2File) -> Vec<BlockAttribution> {
 /// traces without those categories every arrow counts, which keeps the
 /// makespan invariant on arbitrary well-formed inputs.
 pub fn critical_path(file: &Slog2File) -> CriticalPath {
-    let map = file.category_map();
-    let blocks = blocked_intervals(file, &map);
-    let has_block_categories = map.id(WellKnownCategory::PiRead).is_some()
-        || map.id(WellKnownCategory::PiSelect).is_some();
-
-    // Run extent and the finishing timeline.
-    let mut t_start = f64::INFINITY;
-    let mut t_end = f64::NEG_INFINITY;
-    let mut end_tl: Option<TimelineId> = None;
-    for d in file.tree.query(TimeWindow::ALL) {
-        let (s, e) = (d.start(), d.end());
-        if !s.is_finite() || !e.is_finite() {
-            continue;
-        }
-        t_start = t_start.min(s);
-        if e > t_end {
-            t_end = e;
-            end_tl = Some(match d {
-                Drawable::State(st) => st.timeline,
-                Drawable::Event(ev) => ev.timeline,
-                Drawable::Arrow(a) => a.to_timeline,
-            });
-        }
-    }
-    let Some(mut tl) = end_tl else {
-        return CriticalPath {
-            t_start: file.range.t0,
-            t_end: file.range.t0,
-            ..Default::default()
-        };
-    };
-
-    // Per timeline: the release points to jump at, as
-    // (recv, send, from, tag), releases only (when detectable).
-    let mut releases: BTreeMap<TimelineId, Vec<(f64, f64, TimelineId, u32)>> = BTreeMap::new();
-    for (from, to, send, recv, tag) in finite_arrows(file) {
-        let is_release = !has_block_categories
-            || blocks
-                .get(&to)
-                .is_some_and(|iv| iv.iter().any(|&(s, e)| recv >= s && recv <= e));
-        if is_release {
-            releases
-                .entry(to)
-                .or_default()
-                .push((recv, send, from, tag));
-        }
-    }
-
-    let mut path = CriticalPath {
-        t_start,
-        t_end,
-        ..Default::default()
-    };
-    let mut cur = t_end;
-    loop {
-        // The latest release on `tl` strictly before `cur` whose send
-        // also precedes `cur` (strictness guarantees progress).
-        let jump = releases.get(&tl).and_then(|rs| {
-            rs.iter()
-                .filter(|&&(recv, send, _, _)| recv <= cur && send < cur && recv > t_start)
-                .max_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)))
-                .copied()
-        });
-        match jump {
-            Some((recv, send, from, tag)) => {
-                path.segments.push(PathSegment {
-                    timeline: tl,
-                    start: recv,
-                    end: cur,
-                });
-                path.hops.push(PathHop {
-                    from,
-                    to: tl,
-                    send,
-                    recv,
-                    tag,
-                });
-                tl = from;
-                cur = send;
-                if cur <= t_start {
-                    break;
-                }
-            }
-            None => {
-                path.segments.push(PathSegment {
-                    timeline: tl,
-                    start: t_start,
-                    end: cur,
-                });
-                break;
-            }
-        }
-    }
-    path
+    TraceAnalyzer::new(file).critical_path()
 }
 
 #[cfg(test)]

@@ -241,13 +241,13 @@ impl HbGraph {
         self.per_timeline.get(&tl).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// The latest node on `tl` at or before `time`.
+    /// The latest node on `tl` at or before `time` (the last one in
+    /// program order when several share that time).
     pub fn node_at(&self, tl: TimelineId, time: f64) -> Option<usize> {
-        self.timeline_nodes(tl)
-            .iter()
-            .rev()
-            .find(|&&i| self.nodes[i].time <= time)
-            .copied()
+        // Program order is time order, so binary search.
+        let ids = self.timeline_nodes(tl);
+        let p = ids.partition_point(|&i| self.nodes[i].time <= time);
+        p.checked_sub(1).map(|k| ids[k])
     }
 
     /// Does node `a` happen before node `b` (strictly, via program
@@ -335,5 +335,30 @@ mod tests {
         let n = g.node_at(TimelineId(0), 1.5).unwrap();
         assert!(matches!(g.nodes()[n].kind, HbNodeKind::Send { .. }));
         assert!(g.node_at(TimelineId(0), -1.0).is_none());
+    }
+
+    #[test]
+    fn node_at_picks_the_last_of_tied_nodes() {
+        // Rank 0 sends twice at t = 1, then receives at t = 1: three
+        // nodes share the instant; the answer is the last in program
+        // order (the receive), as a backward linear scan would find.
+        let f = file_with(vec![
+            state(0, 0, 0.0, 4.0),
+            state(0, 1, 0.0, 4.0),
+            arrow(0, 1, 1.0, 2.0, 0),
+            arrow(0, 1, 1.0, 3.0, 1),
+            arrow(1, 0, 0.5, 1.0, 2),
+        ]);
+        let g = HbGraph::build(&f);
+        let ids = g.timeline_nodes(TimelineId(0));
+        let linear = |t: f64| ids.iter().rev().find(|&&i| g.nodes()[i].time <= t).copied();
+        let n = g.node_at(TimelineId(0), 1.0).unwrap();
+        assert_eq!(Some(n), linear(1.0));
+        assert!(matches!(g.nodes()[n].kind, HbNodeKind::Recv { .. }));
+        assert_eq!(g.nodes()[n].time, 1.0);
+        for t in [-1.0, 0.0, 0.5, 1.0, 1.5, 4.0, 9.0, f64::NAN] {
+            assert_eq!(g.node_at(TimelineId(0), t), linear(t), "t = {t}");
+        }
+        assert!(g.node_at(TimelineId(7), 1.0).is_none());
     }
 }

@@ -20,10 +20,20 @@
 //! * [`activity`] / [`intervals`] — the quantitative helpers behind
 //!   the detectors (moved here from `pilot-vis`, now total over NaN
 //!   endpoints from salvaged torn logs).
+//! * [`index`] — the per-trace [`TraceIndex`] every analysis above
+//!   reads: one walk of the frame tree, buckets per timeline sorted
+//!   once, so a diagnosis costs one walk plus O(n log n) instead of a
+//!   walk per query and quadratic scans. Its results are
+//!   byte-identical to the per-call scans it replaced (same orders,
+//!   same tie-breaks, same float-summation order).
 //! * [`fixtures`] — deterministic paper-scale traces of instances A
 //!   and B, shared by the golden tests and `repro diagnose`.
 //!
-//! [`TraceAnalyzer`] bundles it all behind one handle:
+//! [`TraceAnalyzer`] bundles it all behind one handle and builds the
+//! index once, on first use; the free functions (`critical_path`,
+//! `diagnose`, `busy_intervals`, ...) are wrappers that build a fresh
+//! analyzer per call, so code asking several questions of one trace
+//! should hold an analyzer:
 //!
 //! ```
 //! use analysis::{TraceAnalyzer, VerdictKind};
@@ -38,6 +48,7 @@ pub mod activity;
 pub mod critical;
 pub mod fixtures;
 pub mod graph;
+pub mod index;
 pub mod intervals;
 pub mod verdict;
 
@@ -50,20 +61,30 @@ pub use critical::{
     ReleasingSend,
 };
 pub use graph::{HbGraph, HbNode, HbNodeKind};
+pub use index::TraceIndex;
 pub use intervals::{merge_intervals, subtract_intervals, total_seconds};
 pub use verdict::{diagnose, worker_timelines, Diagnosis, Verdict, VerdictKind};
 
-use slog2::{Slog2File, TimelineId};
+use std::sync::OnceLock;
+
+use slog2::Slog2File;
 
 /// One-stop analysis handle over a loaded trace.
+///
+/// The [`TraceIndex`] is built on first use and shared by every query
+/// made through this handle; it lives exactly as long as the handle.
 pub struct TraceAnalyzer<'a> {
     file: &'a Slog2File,
+    index: OnceLock<TraceIndex>,
 }
 
 impl<'a> TraceAnalyzer<'a> {
     /// Wrap a loaded file.
     pub fn new(file: &'a Slog2File) -> TraceAnalyzer<'a> {
-        TraceAnalyzer { file }
+        TraceAnalyzer {
+            file,
+            index: OnceLock::new(),
+        }
     }
 
     /// The underlying file.
@@ -71,35 +92,21 @@ impl<'a> TraceAnalyzer<'a> {
         self.file
     }
 
+    /// The per-trace index (built on first call).
+    pub fn index(&self) -> &TraceIndex {
+        self.index.get_or_init(|| TraceIndex::build(self.file))
+    }
+
     /// Build the happens-before graph.
     pub fn happens_before_graph(&self) -> HbGraph {
         HbGraph::build(self.file)
-    }
-
-    /// Compute the critical path.
-    pub fn critical_path(&self) -> CriticalPath {
-        critical::critical_path(self.file)
-    }
-
-    /// Attribute every blocked interval to its releasing send.
-    pub fn blocked_intervals(&self) -> Vec<BlockAttribution> {
-        critical::attribute_blocks(self.file)
-    }
-
-    /// Busy (computing, not blocked) intervals of one timeline.
-    pub fn busy_intervals(&self, timeline: TimelineId) -> Vec<(f64, f64)> {
-        activity::busy_intervals(self.file, timeline)
-    }
-
-    /// Run every detector and assemble the diagnosis.
-    pub fn diagnose(&self, workload: &str) -> Diagnosis {
-        verdict::diagnose(self.file, workload)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slog2::TimelineId;
 
     #[test]
     fn analyzer_wires_the_layers_together() {

@@ -13,9 +13,9 @@ use std::fmt::Write as _;
 
 use slog2::{Slog2File, TimeWindow, TimelineId};
 
-use crate::activity::{busy_intervals, idle_until_first_arrival, parallel_overlap};
-use crate::critical::{attribute_blocks, critical_path, CriticalPath};
+use crate::critical::CriticalPath;
 use crate::intervals::total_seconds;
+use crate::TraceAnalyzer;
 
 /// A serialized phase fires only when the serial tail covers at least
 /// this fraction of the makespan.
@@ -225,53 +225,61 @@ pub fn worker_timelines(file: &Slog2File) -> Vec<TimelineId> {
 
 /// Run every detector over `file` and assemble the [`Diagnosis`].
 pub fn diagnose(file: &Slog2File, workload: &str) -> Diagnosis {
-    let cp = critical_path(file);
-    let makespan = cp.makespan();
-    let workers = worker_timelines(file);
-    let mut verdicts = Vec::new();
+    TraceAnalyzer::new(file).diagnose(workload)
+}
 
-    if makespan > 0.0 {
-        if let Some(v) = detect_serialized_phase(file, &workers, makespan) {
-            verdicts.push(v);
-        }
-        if let Some(v) = detect_late_producer(file, &workers, makespan) {
-            verdicts.push(v);
-        }
-        if let Some(v) = detect_load_imbalance(file, &workers, makespan) {
-            verdicts.push(v);
-        }
-        if let Some(v) = detect_dominance(file, &cp) {
-            verdicts.push(v);
-        }
-    }
+impl TraceAnalyzer<'_> {
+    /// Run every detector and assemble the diagnosis.
+    pub fn diagnose(&self, workload: &str) -> Diagnosis {
+        let file = self.file();
+        let cp = self.critical_path();
+        let makespan = cp.makespan();
+        let workers = worker_timelines(file);
+        let mut verdicts = Vec::new();
 
-    let mut share: Vec<(TimelineId, f64)> = cp.seconds_per_timeline().into_iter().collect();
-    share.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    Diagnosis {
-        workload: workload.to_string(),
-        makespan,
-        critical_path_length: cp.length(),
-        critical_share: share,
-        verdicts,
+        if makespan > 0.0 {
+            if let Some(v) = detect_serialized_phase(self, &workers, makespan) {
+                verdicts.push(v);
+            }
+            if let Some(v) = detect_late_producer(self, &workers, makespan) {
+                verdicts.push(v);
+            }
+            if let Some(v) = detect_load_imbalance(self, &workers, makespan) {
+                verdicts.push(v);
+            }
+            if let Some(v) = detect_dominance(file, &cp) {
+                verdicts.push(v);
+            }
+        }
+
+        let mut share: Vec<(TimelineId, f64)> = cp.seconds_per_timeline().into_iter().collect();
+        share.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        Diagnosis {
+            workload: workload.to_string(),
+            makespan,
+            critical_path_length: cp.length(),
+            critical_share: share,
+            verdicts,
+        }
     }
 }
 
 fn detect_serialized_phase(
-    file: &Slog2File,
+    az: &TraceAnalyzer,
     workers: &[TimelineId],
     makespan: f64,
 ) -> Option<Verdict> {
     // Sweep worker busy intervals for the last instant two of them
     // overlap; everything after is the serial tail.
-    let busy: BTreeMap<TimelineId, Vec<(f64, f64)>> = workers
+    let busy: BTreeMap<TimelineId, &[(f64, f64)]> = workers
         .iter()
-        .map(|&tl| (tl, busy_intervals(file, tl)))
+        .map(|&tl| (tl, az.index().busy(tl)))
         .collect();
     let mut events: Vec<(f64, i32)> = Vec::new();
     let mut t_end = f64::NEG_INFINITY;
     let mut t_begin = f64::INFINITY;
     for iv in busy.values() {
-        for &(s, e) in iv {
+        for &(s, e) in *iv {
             events.push((s, 1));
             events.push((e, -1));
             t_end = t_end.max(e);
@@ -316,7 +324,7 @@ fn detect_serialized_phase(
     if per_worker.len() < 2 || turns < per_worker.len() + 1 {
         return None;
     }
-    let overlap = parallel_overlap(file, workers, Some(window));
+    let overlap = az.parallel_overlap(workers, Some(window));
     if overlap >= SERIAL_PHASE_MAX_OVERLAP {
         return None;
     }
@@ -343,11 +351,12 @@ fn detect_serialized_phase(
 }
 
 fn detect_late_producer(
-    file: &Slog2File,
+    az: &TraceAnalyzer,
     workers: &[TimelineId],
     makespan: f64,
 ) -> Option<Verdict> {
-    let idle = idle_until_first_arrival(file);
+    let (file, ix) = (az.file(), az.index());
+    let idle = az.idle_until_first_arrival();
     let implicated: Vec<(TimelineId, f64)> = workers
         .iter()
         .filter_map(|&tl| {
@@ -362,13 +371,12 @@ fn detect_late_producer(
     }
     // Blame the sender that eventually released each implicated
     // worker's first explained wait; majority wins.
-    let attribution = attribute_blocks(file);
     let mut votes: BTreeMap<TimelineId, usize> = BTreeMap::new();
-    for (tl, _) in &implicated {
-        if let Some(r) = attribution
+    for &(tl, _) in &implicated {
+        let blocks = ix.lane(tl).map_or(&[][..], |l| &l.blocks);
+        if let Some(r) = blocks
             .iter()
-            .filter(|b| b.timeline == *tl)
-            .find_map(|b| b.released_by)
+            .find_map(|&(s, e)| ix.releasing_send(tl, s, e))
         {
             *votes.entry(r.from).or_insert(0) += 1;
         }
@@ -402,13 +410,13 @@ fn detect_late_producer(
 }
 
 fn detect_load_imbalance(
-    file: &Slog2File,
+    az: &TraceAnalyzer,
     workers: &[TimelineId],
     makespan: f64,
 ) -> Option<Verdict> {
     let loads: Vec<(TimelineId, f64)> = workers
         .iter()
-        .map(|&tl| (tl, total_seconds(&busy_intervals(file, tl))))
+        .map(|&tl| (tl, total_seconds(az.index().busy(tl))))
         .collect();
     if loads.len() < 2 {
         return None;
@@ -437,7 +445,7 @@ fn detect_load_imbalance(
     );
     Some(Verdict {
         kind: VerdictKind::LoadImbalance,
-        window: file.range,
+        window: az.file().range,
         timelines: workers.to_vec(),
         blamed: Some(max_tl),
         recoverable_seconds: waste,
@@ -477,6 +485,7 @@ fn detect_dominance(file: &Slog2File, cp: &CriticalPath) -> Option<Verdict> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activity::parallel_overlap;
     use crate::fixtures::{file_with, instance_a, instance_b, state};
 
     #[test]

@@ -3,7 +3,7 @@
 
 use slog2::{TimeWindow, TimelineId};
 
-use ::analysis::{idle_until_first_arrival, parallel_overlap, timeline_activity};
+use ::analysis::TraceAnalyzer;
 
 use crate::json::Json;
 use crate::pipeline::VisRun;
@@ -65,6 +65,7 @@ pub struct RunReport {
 /// log.
 pub fn run_report(run: &VisRun) -> Option<RunReport> {
     let slog = run.slog.as_ref()?;
+    let az = TraceAnalyzer::new(slog);
     let legend = jumpshot::Legend::for_file(slog);
     let legend_rows = legend
         .rows()
@@ -82,7 +83,7 @@ pub fn run_report(run: &VisRun) -> Option<RunReport> {
         .iter()
         .enumerate()
         .map(|(i, name)| {
-            let act = timeline_activity(slog, TimelineId(i as u32));
+            let act = az.timeline_activity(TimelineId(i as u32));
             ReportTimeline {
                 rank: i as u32,
                 name: name.clone(),
@@ -99,8 +100,9 @@ pub fn run_report(run: &VisRun) -> Option<RunReport> {
         drawables: slog.total_drawables(),
         warnings: run.warnings.iter().map(|w| w.to_string()).collect(),
         legend: legend_rows,
-        worker_overlap: parallel_overlap(slog, &workers, None),
-        idle_until_first_arrival: idle_until_first_arrival(slog)
+        worker_overlap: az.parallel_overlap(&workers, None),
+        idle_until_first_arrival: az
+            .idle_until_first_arrival()
             .into_iter()
             .map(|(tl, idle)| (tl.as_u32(), idle))
             .collect(),

@@ -9,9 +9,10 @@
 //! over the two category sequences — so a report can say "W2 before ≈
 //! W2 after (0.93)" instead of silently comparing unrelated rows.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use slog2::{Drawable, Slog2File, TimeWindow, TimelineId};
+use analysis::TraceAnalyzer;
+use slog2::{CategoryId, Slog2File, TimelineId};
 
 /// Category sequences longer than this are stride-downsampled before
 /// the `O(n·m)` LCS table is filled, bounding alignment cost for
@@ -71,50 +72,56 @@ impl Alignment {
     }
 }
 
-/// Per-timeline category-name sequence (states only, in start order,
+/// Category names of both traces (plus `"?"` for an unknown id),
+/// interned to ranks in name order: comparing ranks orders and
+/// equates exactly as comparing the names would.
+fn name_ranks<'f>(before: &'f Slog2File, after: &'f Slog2File) -> BTreeMap<&'f str, u32> {
+    let names: BTreeSet<&str> = before
+        .categories
+        .iter()
+        .chain(&after.categories)
+        .map(|c| c.name.as_str())
+        .chain(["?"])
+        .collect();
+    names.into_iter().zip(0..).collect()
+}
+
+/// Per-timeline category-rank sequence (states only, in start order,
 /// terminal categories stripped) plus the truncation flag.
-fn sequences(file: &Slog2File) -> BTreeMap<TimelineId, (Vec<String>, bool)> {
-    let mut raw: BTreeMap<TimelineId, Vec<(f64, f64, String)>> = BTreeMap::new();
-    let mut truncated: BTreeMap<TimelineId, bool> = BTreeMap::new();
-    for tl in file.timeline_ids() {
-        raw.insert(tl, Vec::new());
-        truncated.insert(tl, false);
-    }
-    for d in file.tree.query(TimeWindow::ALL) {
-        if let Drawable::State(s) = d {
-            let name = file
-                .category(s.category)
-                .map(|c| c.name.as_str())
-                .unwrap_or("?");
-            if TERMINAL_CATEGORIES.contains(&name) {
-                truncated.insert(s.timeline, true);
-                continue;
+fn sequences(az: &TraceAnalyzer, ranks: &BTreeMap<&str, u32>) -> Vec<(Vec<u32>, bool)> {
+    let file = az.file();
+    // Per category id: (rank, terminal?), resolved once.
+    let mut resolved: BTreeMap<CategoryId, (u32, bool)> = BTreeMap::new();
+    file.timeline_ids()
+        .map(|tl| {
+            let mut truncated = false;
+            let mut states: Vec<(f64, f64, u32)> = Vec::new();
+            for &(start, end, cat) in az.index().states(tl) {
+                let (rank, terminal) = *resolved.entry(cat).or_insert_with(|| {
+                    let name = file.category(cat).map_or("?", |c| c.name.as_str());
+                    (ranks[name], TERMINAL_CATEGORIES.contains(&name))
+                });
+                if terminal {
+                    truncated = true;
+                } else {
+                    states.push((start, end, rank));
+                }
             }
-            raw.entry(s.timeline)
-                .or_default()
-                .push((s.start, s.end, name.to_string()));
-        }
-    }
-    raw.into_iter()
-        .map(|(tl, mut states)| {
-            states.sort_by(|a, b| {
+            // Equal keys are equal tuples: the unstable sort is exact.
+            states.sort_unstable_by(|a, b| {
                 a.0.total_cmp(&b.0)
                     .then(a.1.total_cmp(&b.1))
                     .then(a.2.cmp(&b.2))
             });
-            let mut seq: Vec<String> = states.into_iter().map(|(_, _, n)| n).collect();
-            if seq.len() > MAX_SEQ_LEN {
-                let stride = seq.len().div_ceil(MAX_SEQ_LEN);
-                seq = seq.into_iter().step_by(stride).collect();
-            }
-            let trunc = truncated.get(&tl).copied().unwrap_or(false);
-            (tl, (seq, trunc))
+            let stride = states.len().div_ceil(MAX_SEQ_LEN).max(1);
+            let seq = states.into_iter().step_by(stride).map(|s| s.2).collect();
+            (seq, truncated)
         })
         .collect()
 }
 
-/// Longest common subsequence length of two name sequences.
-fn lcs_len(a: &[String], b: &[String]) -> usize {
+/// Longest common subsequence length of two sequences.
+fn lcs_len<T: PartialEq>(a: &[T], b: &[T]) -> usize {
     if a.is_empty() || b.is_empty() {
         return 0;
     }
@@ -133,7 +140,7 @@ fn lcs_len(a: &[String], b: &[String]) -> usize {
     prev[b.len()]
 }
 
-fn similarity(a: &[String], b: &[String]) -> f64 {
+fn similarity<T: PartialEq>(a: &[T], b: &[T]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
@@ -142,8 +149,15 @@ fn similarity(a: &[String], b: &[String]) -> f64 {
 
 /// Pair up the two traces' timelines and score every pair.
 pub fn align(before: &Slog2File, after: &Slog2File) -> Alignment {
-    let seq_b = sequences(before);
-    let seq_a = sequences(after);
+    align_indexed(&TraceAnalyzer::new(before), &TraceAnalyzer::new(after))
+}
+
+/// [`align`] over the two sides' analyzers.
+pub(crate) fn align_indexed(before_az: &TraceAnalyzer, after_az: &TraceAnalyzer) -> Alignment {
+    let (before, after) = (before_az.file(), after_az.file());
+    let ranks = name_ranks(before, after);
+    let seq_b = sequences(before_az, &ranks);
+    let seq_a = sequences(after_az, &ranks);
 
     // Name-first matching: each before timeline claims the first
     // unclaimed after timeline with the same name.
@@ -176,16 +190,15 @@ pub fn align(before: &Slog2File, after: &Slog2File) -> Alignment {
         }
     }
 
-    let empty = (Vec::new(), false);
     let mut pairs = Vec::new();
     let mut taken = vec![false; after.timelines.len()];
     for (bi, p) in partner.iter().enumerate() {
         let b_tl = TimelineId(bi as u32);
-        let (b_seq, b_trunc) = seq_b.get(&b_tl).unwrap_or(&empty);
+        let (b_seq, b_trunc) = &seq_b[bi];
         match p {
             Some(a_tl) => {
                 taken[a_tl.as_usize()] = true;
-                let (a_seq, a_trunc) = seq_a.get(a_tl).unwrap_or(&empty);
+                let (a_seq, a_trunc) = &seq_a[a_tl.as_usize()];
                 pairs.push(AlignedPair {
                     name: before.timelines[bi].clone(),
                     before: Some(b_tl),
@@ -208,7 +221,7 @@ pub fn align(before: &Slog2File, after: &Slog2File) -> Alignment {
     for (ai, name) in after.timelines.iter().enumerate() {
         if !taken[ai] {
             let a_tl = TimelineId(ai as u32);
-            let (_, a_trunc) = seq_a.get(&a_tl).unwrap_or(&empty);
+            let (_, a_trunc) = &seq_a[ai];
             pairs.push(AlignedPair {
                 name: name.clone(),
                 before: None,

@@ -2,14 +2,15 @@
 //!
 //! For every aligned timeline pair: per-category state seconds (keyed
 //! by category *name*, since the two files may number their legends
-//! differently), busy/blocked seconds from the `analysis` activity
-//! sweeps, and sent/received message counts. Absent sides contribute
+//! differently), busy/blocked seconds and sent/received message
+//! counts from each side's `analysis` index. Absent sides contribute
 //! zero, so one-sided rows (rank-count mismatch) still report.
 
 use std::collections::BTreeMap;
 
-use analysis::{busy_intervals, timeline_activity, total_seconds};
-use slog2::{Drawable, Slog2File, TimeWindow, TimelineId};
+use analysis::TraceAnalyzer;
+use jumpshot::TimelineHistogram;
+use slog2::{Slog2File, TimelineId};
 
 use crate::align::Alignment;
 
@@ -69,9 +70,13 @@ pub struct TraceDelta {
     pub timelines: Vec<TimelineDelta>,
 }
 
-/// Per-category state seconds of one timeline, keyed by name.
-fn state_seconds(file: &Slog2File, tl: TimelineId) -> BTreeMap<String, f64> {
-    let stats = jumpshot::duration_stats(file, file.range);
+/// Per-category state seconds of one timeline, keyed by name, from
+/// the file's whole-range duration stats.
+fn state_seconds(
+    file: &Slog2File,
+    stats: &BTreeMap<TimelineId, TimelineHistogram>,
+    tl: TimelineId,
+) -> BTreeMap<String, f64> {
     let mut out = BTreeMap::new();
     if let Some(hist) = stats.get(&tl) {
         for (cat, secs) in &hist.coverage {
@@ -85,21 +90,6 @@ fn state_seconds(file: &Slog2File, tl: TimelineId) -> BTreeMap<String, f64> {
     out
 }
 
-/// `(sent, received)` arrow counts per timeline.
-fn arrow_counts(file: &Slog2File) -> (BTreeMap<TimelineId, u64>, BTreeMap<TimelineId, u64>, u64) {
-    let mut sent = BTreeMap::new();
-    let mut received = BTreeMap::new();
-    let mut total = 0;
-    for d in file.tree.query(TimeWindow::ALL) {
-        if let Drawable::Arrow(a) = d {
-            *sent.entry(a.from_timeline).or_insert(0) += 1;
-            *received.entry(a.to_timeline).or_insert(0) += 1;
-            total += 1;
-        }
-    }
-    (sent, received, total)
-}
-
 /// Measure every aligned pair. `makespans` come from the two
 /// diagnoses so the trace delta and the verdict delta agree.
 pub fn trace_delta(
@@ -108,8 +98,23 @@ pub fn trace_delta(
     alignment: &Alignment,
     makespans: (f64, f64),
 ) -> TraceDelta {
-    let (sent_b, recv_b, msgs_b) = arrow_counts(before);
-    let (sent_a, recv_a, msgs_a) = arrow_counts(after);
+    trace_delta_indexed(
+        &TraceAnalyzer::new(before),
+        &TraceAnalyzer::new(after),
+        alignment,
+        makespans,
+    )
+}
+
+/// [`trace_delta`] over the two sides' analyzers.
+pub(crate) fn trace_delta_indexed(
+    before: &TraceAnalyzer,
+    after: &TraceAnalyzer,
+    alignment: &Alignment,
+    makespans: (f64, f64),
+) -> TraceDelta {
+    let stats = |az: &TraceAnalyzer| jumpshot::duration_stats(az.file(), az.file().range);
+    let (stats_b, stats_a) = (stats(before), stats(after));
 
     let timelines = alignment
         .pairs
@@ -117,11 +122,11 @@ pub fn trace_delta(
         .map(|p| {
             let states_b = p
                 .before
-                .map(|tl| state_seconds(before, tl))
+                .map(|tl| state_seconds(before.file(), &stats_b, tl))
                 .unwrap_or_default();
             let states_a = p
                 .after
-                .map(|tl| state_seconds(after, tl))
+                .map(|tl| state_seconds(after.file(), &stats_a, tl))
                 .unwrap_or_default();
             let mut names: Vec<&String> = states_b.keys().chain(states_a.keys()).collect();
             names.sort();
@@ -134,17 +139,10 @@ pub fn trace_delta(
                     after_s: states_a.get(n).copied().unwrap_or(0.0),
                 })
                 .collect();
-            let busy = |file: &Slog2File, tl: Option<TimelineId>| {
-                tl.map(|tl| total_seconds(&busy_intervals(file, tl)))
-                    .unwrap_or(0.0)
+            let activity = |az: &TraceAnalyzer, tl: Option<TimelineId>| {
+                tl.map(|tl| az.timeline_activity(tl)).unwrap_or_default()
             };
-            let blocked = |file: &Slog2File, tl: Option<TimelineId>| {
-                tl.map(|tl| timeline_activity(file, tl).blocked)
-                    .unwrap_or(0.0)
-            };
-            let count = |m: &BTreeMap<TimelineId, u64>, tl: Option<TimelineId>| {
-                tl.and_then(|tl| m.get(&tl).copied()).unwrap_or(0)
-            };
+            let (act_b, act_a) = (activity(before, p.before), activity(after, p.after));
             TimelineDelta {
                 name: p.name.clone(),
                 before: p.before,
@@ -152,18 +150,27 @@ pub fn trace_delta(
                 similarity: p.similarity,
                 truncated: (p.truncated_before, p.truncated_after),
                 states,
-                busy_s: (busy(before, p.before), busy(after, p.after)),
-                blocked_s: (blocked(before, p.before), blocked(after, p.after)),
-                sent: (count(&sent_b, p.before), count(&sent_a, p.after)),
-                received: (count(&recv_b, p.before), count(&recv_a, p.after)),
+                busy_s: (act_b.busy, act_a.busy),
+                blocked_s: (act_b.blocked, act_a.blocked),
+                sent: (
+                    p.before.map_or(0, |tl| before.index().sent(tl)),
+                    p.after.map_or(0, |tl| after.index().sent(tl)),
+                ),
+                received: (
+                    p.before.map_or(0, |tl| before.index().received(tl)),
+                    p.after.map_or(0, |tl| after.index().received(tl)),
+                ),
             }
         })
         .collect();
 
     TraceDelta {
         makespan: makespans,
-        drawables: (before.total_drawables(), after.total_drawables()),
-        messages: (msgs_b, msgs_a),
+        drawables: (
+            before.file().total_drawables(),
+            after.file().total_drawables(),
+        ),
+        messages: (before.index().messages(), after.index().messages()),
         timelines,
     }
 }

@@ -9,7 +9,7 @@
 //! the report can show "overlap 0.02 → 0.97" for a de-serialized
 //! query phase.
 
-use analysis::{busy_intervals, parallel_overlap, worker_timelines, Diagnosis, VerdictKind};
+use analysis::{worker_timelines, Diagnosis, TraceAnalyzer, VerdictKind};
 use slog2::{Slog2File, TimeWindow};
 
 /// A recoverable-seconds change within this fraction of the before
@@ -153,17 +153,18 @@ pub struct PhaseDelta {
 
 /// `(overlap, busy, blocked)` of the workers within `w` (whole range
 /// when `None`).
-fn lane_metrics(file: &Slog2File, w: Option<TimeWindow>) -> (f64, f64, f64) {
+fn lane_metrics(az: &TraceAnalyzer, w: Option<TimeWindow>) -> (f64, f64, f64) {
+    let (file, ix) = (az.file(), az.index());
     let workers = worker_timelines(file);
     let window = w.unwrap_or(file.range);
-    let overlap = parallel_overlap(file, &workers, Some(window));
+    let overlap = az.parallel_overlap(&workers, Some(window));
     let mut busy = 0.0;
     let mut blocked = 0.0;
     let stats = jumpshot::duration_stats(file, window);
     let read = file.category_by_name("PI_Read").map(|c| c.index);
     let select = file.category_by_name("PI_Select").map(|c| c.index);
     for &tl in &workers {
-        for (s, e) in busy_intervals(file, tl) {
+        for &(s, e) in ix.busy(tl) {
             busy += (e.min(window.t1) - s.max(window.t0)).max(0.0);
         }
         if let Some(h) = stats.get(&tl) {
@@ -184,6 +185,21 @@ pub fn measure_phases(
     diag_before: &Diagnosis,
     diag_after: &Diagnosis,
 ) -> Vec<PhaseDelta> {
+    measure_phases_indexed(
+        &TraceAnalyzer::new(before),
+        &TraceAnalyzer::new(after),
+        diag_before,
+        diag_after,
+    )
+}
+
+/// [`measure_phases`] over the two sides' analyzers.
+pub(crate) fn measure_phases_indexed(
+    before: &TraceAnalyzer,
+    after: &TraceAnalyzer,
+    diag_before: &Diagnosis,
+    diag_after: &Diagnosis,
+) -> Vec<PhaseDelta> {
     let mut phases = Vec::new();
     let mut push = |label: String, wb: Option<TimeWindow>, wa: Option<TimeWindow>| {
         let (ob, bb, kb) = lane_metrics(before, wb);
@@ -199,8 +215,8 @@ pub fn measure_phases(
     };
     push(
         "whole-run".to_string(),
-        Some(before.range),
-        Some(after.range),
+        Some(before.file().range),
+        Some(after.file().range),
     );
     for kind in KINDS {
         let vb = diag_before.verdict(kind);
@@ -220,7 +236,6 @@ pub fn measure_phases(
 mod tests {
     use super::*;
     use analysis::fixtures::{instance_a, instance_fixed};
-    use analysis::TraceAnalyzer;
 
     #[test]
     fn a_vs_fixed_pronounces_serialized_phase_fixed() {

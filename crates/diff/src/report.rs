@@ -12,9 +12,9 @@ use analysis::{Diagnosis, TraceAnalyzer, VerdictKind};
 use pilot_vis::json::Json;
 use slog2::{Slog2File, TimeWindow};
 
-use crate::align::{align, Alignment};
-use crate::delta::{trace_delta, TraceDelta};
-use crate::issue::{diff_issues, measure_phases, DeltaVerdict, IssueDiff, PhaseDelta};
+use crate::align::{align_indexed, Alignment};
+use crate::delta::{trace_delta_indexed, TraceDelta};
+use crate::issue::{diff_issues, measure_phases_indexed, DeltaVerdict, IssueDiff, PhaseDelta};
 
 /// FNV-1a over the serialized file — the digest that identifies each
 /// side of the comparison (same constants as the timeline service's
@@ -263,16 +263,19 @@ impl TraceDiff {
 
 /// Align, measure, diagnose, and judge: the whole comparison.
 pub fn diff_traces(before: &Slog2File, after: &Slog2File, labels: (&str, &str)) -> TraceDiff {
-    let diag_before = TraceAnalyzer::new(before).diagnose(labels.0);
-    let diag_after = TraceAnalyzer::new(after).diagnose(labels.1);
-    let alignment = align(before, after);
-    let delta = trace_delta(
-        before,
-        after,
+    // One analyzer per side: each trace is indexed once and the index
+    // serves the diagnosis, the alignment, the deltas and the phases.
+    let (az_before, az_after) = (TraceAnalyzer::new(before), TraceAnalyzer::new(after));
+    let diag_before = az_before.diagnose(labels.0);
+    let diag_after = az_after.diagnose(labels.1);
+    let alignment = align_indexed(&az_before, &az_after);
+    let delta = trace_delta_indexed(
+        &az_before,
+        &az_after,
         &alignment,
         (diag_before.makespan, diag_after.makespan),
     );
-    let phases = measure_phases(before, after, &diag_before, &diag_after);
+    let phases = measure_phases_indexed(&az_before, &az_after, &diag_before, &diag_after);
     let issues = diff_issues(&diag_before, &diag_after);
     TraceDiff {
         before_label: labels.0.to_string(),

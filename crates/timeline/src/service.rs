@@ -47,6 +47,7 @@ pub struct TimelineService {
     pub detail_limit: usize,
     queries: AtomicU64,
     diagnosis: OnceLock<String>,
+    overlay: OnceLock<PathOverlay>,
     baseline: Option<Baseline>,
     /// Test-only: stretch every tile compute by this much (under the
     /// `render` phase) so integration tests can force a slow request
@@ -99,6 +100,7 @@ impl TimelineService {
             detail_limit: 512,
             queries: AtomicU64::new(0),
             diagnosis: OnceLock::new(),
+            overlay: OnceLock::new(),
             baseline: None,
             test_tile_delay: None,
             file,
@@ -474,21 +476,27 @@ impl TimelineService {
         })
     }
 
+    /// The critical-path overlay, computed on first use (the file
+    /// cannot change under the service).
     fn critical_overlay(&self) -> PathOverlay {
-        let cp = analysis::critical_path(&self.file);
-        PathOverlay {
-            segments: cp
-                .segments
-                .iter()
-                .map(|s| (s.timeline, s.start, s.end))
-                .collect(),
-            hops: cp
-                .hops
-                .iter()
-                .map(|h| (h.from, h.to, h.send, h.recv))
-                .collect(),
-            dim_others: true,
-        }
+        self.overlay
+            .get_or_init(|| {
+                let cp = analysis::critical_path(&self.file);
+                PathOverlay {
+                    segments: cp
+                        .segments
+                        .iter()
+                        .map(|s| (s.timeline, s.start, s.end))
+                        .collect(),
+                    hops: cp
+                        .hops
+                        .iter()
+                        .map(|h| (h.from, h.to, h.send, h.recv))
+                        .collect(),
+                    dim_others: true,
+                }
+            })
+            .clone()
     }
 
     /// `/v1/stats` — query and cache counters, including single-flight
@@ -683,6 +691,42 @@ mod tests {
             assert!(!body.is_empty(), "{name}");
         }
         assert!(svc.render("nope", None, 640, false).is_none());
+    }
+
+    #[test]
+    fn overlay_renders_are_cached_and_unchanged() {
+        // The cached overlay must render exactly what a fresh
+        // critical-path computation renders, on every request.
+        let svc = TimelineService::from_file(analysis::fixtures::instance_b());
+        let cp = analysis::critical_path(svc.file());
+        assert!(!cp.hops.is_empty());
+        let fresh = PathOverlay {
+            segments: cp
+                .segments
+                .iter()
+                .map(|s| (s.timeline, s.start, s.end))
+                .collect(),
+            hops: cp
+                .hops
+                .iter()
+                .map(|h| (h.from, h.to, h.send, h.recv))
+                .collect(),
+            dim_others: true,
+        };
+        for name in ["svg", "ascii", "html", "hist"] {
+            for window in [None, Some(TimeWindow::new(2.0, 9.0))] {
+                let mut opts = RenderOptions::default().with_width(800);
+                opts.window = window;
+                opts.overlay = Some(fresh.clone());
+                let want = renderer_by_name(name).unwrap().render(svc.file(), &opts);
+                for _ in 0..2 {
+                    let (_, body) = svc.render(name, window, 800, true).unwrap();
+                    assert_eq!(body, want, "{name} {window:?}");
+                }
+                let (_, plain) = svc.render(name, window, 800, false).unwrap();
+                assert_ne!(plain, want, "{name} {window:?}: overlay must show");
+            }
+        }
     }
 
     #[test]
