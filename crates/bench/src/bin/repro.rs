@@ -69,20 +69,17 @@ use bench::{measure_overhead_cell, LoggingMode};
 use minimpi::{ClockConfig, World};
 use pilot::{PilotConfig, Services};
 use slog2::{
-    ConvertOptions, ConvertWarning, Converter, FailureKind, RankVerdict, SalvageReport, TimelineId,
-    TornPolicy, TraceSource,
+    ConvertWarning, Converter, FailureKind, RankVerdict, SalvageReport, TimelineId, TornPolicy,
+    TraceSource,
 };
 use workloads::collision::{expected_answers, run_collision, CollisionParams, CollisionVariant};
 use workloads::lab2::{expected_total, run_lab2};
 use workloads::thumbnail::{expected_result, run_thumbnail, ThumbnailParams};
 
-/// One-shot in-memory conversion through the [`Converter`] builder —
-/// the shape most experiments here want.
-fn convert(
-    clog: &mpelog::Clog2File,
-    opts: &ConvertOptions,
-) -> (slog2::Slog2File, Vec<ConvertWarning>) {
-    let c = Converter::from_options(opts)
+/// One-shot in-memory conversion through `conv` — the shape most
+/// experiments here want.
+fn convert(clog: &mpelog::Clog2File, conv: Converter) -> (slog2::Slog2File, Vec<ConvertWarning>) {
+    let c = conv
         .convert(TraceSource::InMemory(clog))
         .expect("in-memory source cannot fail");
     (c.file, c.warnings)
@@ -95,7 +92,7 @@ fn out_dir() -> &'static Path {
 }
 
 /// Converter worker-thread count, set once from `--parallel` (0 = one
-/// per core — the `ConvertOptions` default).
+/// per core — the `Converter` default).
 static PARALLEL: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
 
 fn parallelism() -> usize {
@@ -111,11 +108,9 @@ fn render_outcome(
     let clog = outcome.clog().expect("run must have -pisvc=j");
     let (slog, warnings) = convert(
         clog,
-        &ConvertOptions {
-            timeline_names: Some(outcome.artifacts.process_names.clone()),
-            parallelism: parallelism(),
-            ..Default::default()
-        },
+        Converter::new()
+            .timeline_names(outcome.artifacts.process_names.clone())
+            .parallelism(parallelism()),
     );
     for w in &warnings {
         println!("  converter warning: {w}");
@@ -223,10 +218,7 @@ fn fig2(outcome: &pilot::PilotOutcome) {
     let clog = outcome.clog().expect("log");
     let (slog, _) = convert(
         clog,
-        &ConvertOptions {
-            timeline_names: Some(outcome.artifacts.process_names.clone()),
-            ..Default::default()
-        },
+        Converter::new().timeline_names(outcome.artifacts.process_names.clone()),
     );
     let span = slog.range.span();
     let mid = slog.range.t0 + span * 0.5;
@@ -337,7 +329,7 @@ fn legend() {
     let cfg = PilotConfig::new(6).with_services(Services::parse("j").unwrap());
     let (outcome, _) = run_lab2(cfg, 5, 10_000, false);
     let clog = outcome.clog().unwrap();
-    let (slog, _) = convert(clog, &ConvertOptions::default());
+    let (slog, _) = convert(clog, Converter::new());
     let legend = jumpshot::Legend::for_file(&slog);
     for sort in [
         jumpshot::LegendSort::Index,
@@ -390,7 +382,7 @@ fn equal_drawables() {
             pi.stop_main(0)
         });
         assert!(outcome.is_clean(), "{outcome:?}");
-        let (_slog, warnings) = convert(outcome.clog().unwrap(), &ConvertOptions::default());
+        let (_slog, warnings) = convert(outcome.clog().unwrap(), Converter::new());
         let equal = warnings
             .iter()
             .filter(|w| matches!(w, ConvertWarning::EqualDrawables { .. }))
@@ -426,7 +418,7 @@ fn clocksync() {
         .with_clock(ClockConfig::with_linear_drift(3, 0.2, 0.0));
     let (outcome, _) = run_lab2(cfg, 2, 1000, false);
     assert!(outcome.is_clean());
-    let (_, warnings) = convert(outcome.clog().unwrap(), &ConvertOptions::default());
+    let (_, warnings) = convert(outcome.clog().unwrap(), Converter::new());
     let backward = warnings
         .iter()
         .filter(|w| matches!(w, ConvertWarning::BackwardArrow { .. }))
@@ -876,7 +868,7 @@ fn serve_bench(clients: usize, obs_mode: bool, max_overhead_pct: f64) -> bool {
     let path = out_dir().join("serve_workload.pslog2");
     if !path.exists() {
         let clog = workloads::synthetic_clog(8, 4_000);
-        let (slog, _) = convert(&clog, &ConvertOptions::default());
+        let (slog, _) = convert(&clog, Converter::new());
         slog.write_to(&path).expect("write serve workload");
     }
     let oracle = timeline::TimelineService::load(&path).expect("load oracle copy");
@@ -1172,14 +1164,14 @@ fn chaos_run(seed: u64, ops: usize) -> Option<(u64, Vec<(String, pilot_vis::json
 
     // Deterministic workload + upload bodies, all derived in-memory.
     let clog = workloads::synthetic_clog(4, 800);
-    let (slog, _) = convert(&clog, &ConvertOptions::default());
+    let (slog, _) = convert(&clog, Converter::new());
     let oracle = timeline::TimelineService::from_file(slog.clone());
     let workload_digest = timeline::fnv1a(&slog.to_bytes());
 
     let good_bodies: Vec<Vec<u8>> = (0..3)
         .map(|k| {
             let c = workloads::synthetic_clog(2, 120 + 60 * k);
-            convert(&c, &ConvertOptions::default()).0.to_bytes()
+            convert(&c, Converter::new()).0.to_bytes()
         })
         .collect();
     let torn_bodies: Vec<Vec<u8>> = (0..2)
@@ -1691,13 +1683,11 @@ fn metrics(workload: &str, parallel: usize) -> bool {
     assert!(outcome.is_clean(), "{outcome:?}");
 
     let clog = outcome.clog().expect("run must have -pisvc=j");
-    let opts = ConvertOptions {
-        timeline_names: Some(outcome.artifacts.process_names.clone()),
-        parallelism: parallel,
-        ..Default::default()
-    }
-    .with_observability(o.clone());
-    let (slog, warnings) = convert(clog, &opts);
+    let conv = Converter::new()
+        .timeline_names(outcome.artifacts.process_names.clone())
+        .parallelism(parallel)
+        .observability(o.clone());
+    let (slog, warnings) = convert(clog, conv);
     for w in &warnings {
         println!("  converter warning: {w}");
     }
@@ -1804,12 +1794,9 @@ fn forensics(
         bytes_recovered: bytes,
         truncated: !torn.is_empty(),
     };
-    let opts = ConvertOptions {
-        parallelism: parallelism(),
-        ..Default::default()
-    };
     let truncated = report.truncated;
-    let c = Converter::from_options(&opts)
+    let c = Converter::new()
+        .parallelism(parallelism())
         .on_torn(TornPolicy::Salvage(report))
         .convert(TraceSource::InMemory(&clog))
         .expect("in-memory source cannot fail");
@@ -1975,12 +1962,10 @@ fn diagnose(workload: &str) -> bool {
     use analysis::VerdictKind;
     println!("# diagnose — automated bottleneck verdicts ({workload})");
     let live = |outcome: &pilot::PilotOutcome| {
-        let opts = ConvertOptions {
-            timeline_names: Some(outcome.artifacts.process_names.clone()),
-            parallelism: parallelism(),
-            ..Default::default()
-        };
-        convert(outcome.clog().expect("run must have -pisvc=j"), &opts).0
+        let conv = Converter::new()
+            .timeline_names(outcome.artifacts.process_names.clone())
+            .parallelism(parallelism());
+        convert(outcome.clog().expect("run must have -pisvc=j"), conv).0
     };
     let slog = match workload {
         "instance-a" => analysis::fixtures::instance_a(),
@@ -2478,12 +2463,10 @@ fn sim_bench(ranks: usize, seed: u64) -> bool {
     }
 
     let outcome = first.expect("at least one run");
-    let opts = ConvertOptions {
-        timeline_names: Some(outcome.artifacts.process_names.clone()),
-        parallelism: parallelism(),
-        ..Default::default()
-    };
-    let (slog, _) = convert(outcome.clog().unwrap(), &opts);
+    let conv = Converter::new()
+        .timeline_names(outcome.artifacts.process_names.clone())
+        .parallelism(parallelism());
+    let (slog, _) = convert(outcome.clog().unwrap(), conv);
     let slog_path = out_dir().join("SIM_pipeline.pslog2");
     slog.write_to(&slog_path)
         .expect("write SIM_pipeline.pslog2");

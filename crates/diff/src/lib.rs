@@ -8,7 +8,7 @@
 //! pronounces each detected issue `Fixed`, `Regressed`, or
 //! `Unchanged` with the recoverable seconds actually recovered.
 //!
-//! * [`align`] — per-timeline pairing by name then position, with an
+//! * [`align`](mod@align) — per-timeline pairing by name then position, with an
 //!   LCS similarity score over category sequences; tolerant of
 //!   rank-count mismatches and salvaged/`ABORTED` tails.
 //! * [`delta`] — per-timeline state-duration, busy/blocked, and
@@ -20,7 +20,7 @@
 //! * [`render`] — the two-lane side-by-side render: both traces
 //!   stacked into one canvas (rows prefixed `A:` / `B:`) through the
 //!   existing `jumpshot::Renderer` backends, with delta annotations.
-//! * [`bench`] — the same delta/verdict shape applied to
+//! * [`bench`](mod@bench) — the same delta/verdict shape applied to
 //!   `BENCH_*.json` reports, so CI can fail on perf regressions
 //!   (`repro bench-diff`).
 //!

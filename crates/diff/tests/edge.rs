@@ -102,7 +102,7 @@ fn self_diff_has_exactly_zero_deltas_and_identical_json() {
 }
 
 /// Clone `instance_b` and append a salvaged `ABORTED` tail on W3, the
-/// shape `convert_salvaged` produces for a torn log.
+/// shape salvage conversion (`TornPolicy::Salvage`) produces for a torn log.
 fn torn_instance_b() -> Slog2File {
     let clean = instance_b();
     let mut categories = clean.categories.clone();

@@ -118,15 +118,6 @@ impl WorldBuilder {
         self
     }
 
-    /// Configure the world clock (resolution quantization, drift).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `clock_shape` for the clock shape and `engine` to pick the time source"
-    )]
-    pub fn clock(self, cfg: ClockConfig) -> Self {
-        self.clock_shape(cfg)
-    }
-
     /// Override the order rank threads are spawned in. Determinism
     /// testing hook: a virtual-engine run must produce identical
     /// results under every spawn order, because scheduling is decided
@@ -1142,22 +1133,6 @@ mod tests {
             0
         });
         assert_eq!(out.aborted, Some((1, 5)));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_clock_shim_still_configures_the_shape() {
-        let out = World::builder(1)
-            .clock(ClockConfig {
-                resolution_s: 0.5,
-                drift: vec![],
-            })
-            .run(|rank| {
-                let t = rank.wtime();
-                assert!((t / 0.5 - (t / 0.5).round()).abs() < 1e-9, "t={t} off-grid");
-                0
-            });
-        assert!(out.all_ok());
     }
 
     /// Virtual-engine behavior: determinism, virtual time, deadlock

@@ -21,7 +21,7 @@
 //!   property the property tests pin down.
 //! * **No globals.** An [`Obs`] instance is threaded explicitly through
 //!   `WorldBuilder::observe`, `PilotConfig::with_observability`, and
-//!   `ConvertOptions::obs`, so parallel `cargo test` runs never share
+//!   `Converter::observability`, so parallel `cargo test` runs never share
 //!   state.
 //! * **Bounded sinks.** The span tracer writes into one fixed-capacity
 //!   ring per worker ([`ring::RingBuffer`], oldest-drop on overflow),

@@ -25,9 +25,11 @@
 //!
 //! Salvage (converting the torn log of a failed run) is a *mode* of the
 //! same builder — [`Converter::on_torn`] with
-//! [`TornPolicy::Salvage`] — not a separate entry point. The historical
-//! free functions ([`convert`], [`convert_salvaged`], [`convert_reader`])
-//! remain as deprecated wrappers.
+//! [`TornPolicy::Salvage`] — not a separate entry point. The in-memory
+//! [`Converter::convert`] and the out-of-core
+//! [`Converter::convert_to_path`] share one source front end: every
+//! source kind and torn-input policy becomes the same category table and
+//! rank-block scan, with the salvage terminal shard appended last.
 //!
 //! ## Sharded pipeline
 //!
@@ -38,11 +40,11 @@
 //!
 //! 1. **Scan** — blocks are split into fixed-size record chunks that
 //!    workers *steal* from a shared queue (so parallelism is not capped
-//!    by the rank count), then stitched back per rank
-//!    ([`crate::scan`]).
+//!    by the rank count), then stitched back per rank (the private
+//!    `scan` module).
 //! 2. **Merge** — shard outputs concatenate in rank order into columnar
-//!    storage ([`crate::columnar`]); per-rank send/recv lists are
-//!    key-disjoint.
+//!    storage (the private `columnar` module); per-rank send/recv lists
+//!    are key-disjoint.
 //! 3. **Arrows** — per-shard key-sorted send/recv runs merge (sends by
 //!    concatenation, recvs by k-way merge) and match in key order,
 //!    sharded by contiguous key chunks.
@@ -52,7 +54,7 @@
 //! 5. **Tree** — the frame-tree recursion partitions row *indices* and
 //!    forks independent subtrees onto workers.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io::Read;
 use std::ops::Range;
 use std::sync::Arc;
@@ -73,70 +75,6 @@ use crate::source::TraceSource;
 use crate::tree::FrameTree;
 use crate::window::TimeWindow;
 use mpelog::Color;
-
-/// Conversion parameters for the deprecated free-function entry points.
-///
-/// New code should use the [`Converter`] builder instead.
-#[derive(Debug, Clone)]
-pub struct ConvertOptions {
-    /// Frame-tree split threshold ("frame size"). Smaller values make a
-    /// deeper tree with finer random access; the paper mentions tuning
-    /// this to affect the amount of data initially displayed.
-    pub frame_capacity: usize,
-    /// Frame-tree depth limit.
-    pub max_depth: u32,
-    /// Timeline display names; defaults to `P0..Pn` with rank 0 called
-    /// `PI_MAIN`, matching the paper's convention.
-    pub timeline_names: Option<Vec<String>>,
-    /// Worker threads for the sharded conversion phases: `0` picks the
-    /// machine's available parallelism, `1` forces the serial path, and
-    /// any other value caps the worker count. The output is
-    /// byte-identical at every setting.
-    pub parallelism: usize,
-    /// Metrics and span tracing for the conversion. Per-stage spans
-    /// (`scan`, `match`, `diagnose`, `tree` — plus per-shard worker
-    /// spans when `parallelism > 1`) land in the tracer; the
-    /// `convert.*` counters are attributed per rank block, so their
-    /// merged totals are identical at every parallelism setting.
-    pub obs: Option<std::sync::Arc<obs::Obs>>,
-}
-
-impl Default for ConvertOptions {
-    fn default() -> Self {
-        ConvertOptions {
-            frame_capacity: 64,
-            max_depth: 16,
-            timeline_names: None,
-            parallelism: 0,
-            obs: None,
-        }
-    }
-}
-
-impl ConvertOptions {
-    /// Set the worker-thread count (see
-    /// [`parallelism`](Self::parallelism)).
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Attach a metrics registry + tracer (see [`obs`](Self::obs)).
-    pub fn with_observability(mut self, obs: std::sync::Arc<obs::Obs>) -> Self {
-        self.obs = Some(obs);
-        self
-    }
-
-    /// Resolve `parallelism` to a concrete worker count: `0` asks the
-    /// OS, and a machine that reports a single core falls back to the
-    /// serial path.
-    pub fn effective_parallelism(&self) -> usize {
-        match self.parallelism {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        }
-    }
-}
 
 /// Diagnostics produced during conversion.
 #[derive(Debug, Clone, PartialEq)]
@@ -365,7 +303,7 @@ impl std::fmt::Display for FailureKind {
 }
 
 /// One failed rank's post-mortem, as established by the supervisor
-/// ([`minimpi`]'s `RankFailure`) or the deadlock detector.
+/// (`minimpi`'s `RankFailure`) or the deadlock detector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankVerdict {
     /// The failed rank.
@@ -474,19 +412,9 @@ impl Converter {
         Converter::default()
     }
 
-    /// Bridge from the legacy [`ConvertOptions`].
-    pub fn from_options(opts: &ConvertOptions) -> Converter {
-        Converter {
-            frame_capacity: opts.frame_capacity,
-            max_depth: opts.max_depth,
-            timeline_names: opts.timeline_names.clone(),
-            parallelism: opts.parallelism,
-            obs: opts.obs.clone(),
-            ..Converter::default()
-        }
-    }
-
-    /// Frame-tree split threshold ("frame size").
+    /// Frame-tree split threshold ("frame size"). Smaller values make a
+    /// deeper tree with finer random access; the paper mentions tuning
+    /// this to affect the amount of data initially displayed.
     pub fn frame_capacity(mut self, capacity: usize) -> Converter {
         self.frame_capacity = capacity;
         self
@@ -511,7 +439,11 @@ impl Converter {
         self
     }
 
-    /// Attach a metrics registry + tracer.
+    /// Attach a metrics registry + tracer. Per-stage spans (`scan`,
+    /// `merge`, `arrow-match`, `diagnose`, `tree-build`, plus per-shard
+    /// worker spans when parallel) land in the tracer; the `convert.*`
+    /// counters are attributed per rank block, so their merged totals
+    /// are identical at every parallelism setting.
     pub fn observability(mut self, obs: Arc<obs::Obs>) -> Converter {
         self.obs = Some(obs);
         self
@@ -548,116 +480,138 @@ impl Converter {
         }
     }
 
+    /// Whether [`timeline_names`](Self::timeline_names) was set.
+    pub fn has_timeline_names(&self) -> bool {
+        self.timeline_names.is_some()
+    }
+
+    /// The file's timeline names: the configured ones, else `PI_MAIN`
+    /// for rank 0 and `P{r}` for the others.
+    pub(crate) fn timelines(&self, nranks: u32) -> Vec<String> {
+        self.timeline_names.clone().unwrap_or_else(|| {
+            (0..nranks)
+                .map(|r| match r {
+                    0 => "PI_MAIN".to_string(),
+                    r => format!("P{r}"),
+                })
+                .collect()
+        })
+    }
+
     /// Convert `src` in memory.
     ///
     /// Output bytes are identical for every source kind describing the
     /// same log, at every parallelism setting.
     pub fn convert(&self, src: TraceSource<'_>) -> Result<Conversion, StreamError> {
-        match &self.torn {
-            TornPolicy::Strict => match src {
-                TraceSource::InMemory(clog) => Ok(self.convert_clog(clog, None)),
-                TraceSource::Bytes(bytes) => self.convert_image(bytes),
-                TraceSource::Mmap(map) => self.convert_image(&map),
-                TraceSource::Reader(r) => self.convert_stream(r),
-            },
-            TornPolicy::Salvage(report) => {
-                let report = report.clone();
-                match src {
-                    TraceSource::InMemory(clog) => Ok(self.convert_clog(clog, Some(&report))),
-                    TraceSource::Bytes(bytes) => Ok(self.convert_salvaged_bytes(bytes, &report)),
-                    TraceSource::Mmap(map) => Ok(self.convert_salvaged_bytes(&map, &report)),
-                    TraceSource::Reader(mut r) => {
-                        let mut bytes = Vec::new();
-                        r.read_to_end(&mut bytes)?;
-                        Ok(self.convert_salvaged_bytes(&bytes, &report))
-                    }
-                }
-            }
-        }
+        let mut shards = Vec::new();
+        let (table, nranks) = self.scan_source(src, false, |scan| {
+            shards.push(scan);
+            Ok(())
+        })?;
+        Ok(self.finish(shards, table, nranks))
     }
 
-    /// Convert an already-decoded log, optionally in salvage mode.
-    pub(crate) fn convert_clog(
+    /// The source front end shared by [`convert`](Self::convert) and
+    /// [`convert_to_path`](Self::convert_to_path): decode `src` under
+    /// the torn-input policy, build the category table, scan every rank
+    /// block, and hand each [`RankScan`] to `sink` — the salvage
+    /// terminal shard last. Returns the table and the rank count.
+    ///
+    /// A decoded log or byte image scans as one batch, so workers steal
+    /// chunks across ranks, unless `per_block` asks for one block at a
+    /// time; a reader always yields one block at a time, in stream
+    /// order. Salvage recovers the clean prefix of any byte source into
+    /// a decoded log first.
+    pub(crate) fn scan_source(
         &self,
-        clog: &Clog2File,
-        report: Option<&SalvageReport>,
-    ) -> Conversion {
+        src: TraceSource<'_>,
+        per_block: bool,
+        mut sink: impl FnMut(RankScan) -> Result<(), StreamError>,
+    ) -> Result<(CategoryTable, u32), StreamError> {
         let workers = self.effective_parallelism();
+        let obs = self.obs.as_deref();
+        let span = obs.map(|o| o.span("scan", "convert", 0));
+        let mut scan = |table: &CategoryTable, blocks: &[BlockInput<'_>]| {
+            let batch = if per_block { 1 } else { blocks.len().max(1) };
+            for batch in blocks.chunks(batch) {
+                for shard in scan_sources(batch, table, workers, obs) {
+                    sink(shard)?;
+                }
+            }
+            Ok::<_, StreamError>(())
+        };
+        let mut image = |bytes: &[u8]| {
+            let image = Clog2File::parse_image(bytes, CHUNK_RECORDS)?;
+            let table = build_categories(&image.state_defs, &image.event_defs);
+            let blocks: Vec<BlockInput<'_>> = image.blocks.iter().map(BlockInput::Image).collect();
+            scan(&table, &blocks)?;
+            Ok((table, image.nranks))
+        };
+        let salvage = |bytes: &[u8]| Clog2File::salvage_bytes(bytes).file;
+        let salvaged;
+        let clog = match (src, &self.torn) {
+            (TraceSource::InMemory(clog), _) => clog,
+            (TraceSource::Bytes(bytes), TornPolicy::Strict) => return image(bytes),
+            (TraceSource::Mmap(map), TornPolicy::Strict) => return image(&map),
+            (TraceSource::Reader(r), TornPolicy::Strict) => {
+                let mut blocks = Clog2Blocks::open(r)?;
+                let table = build_categories(&blocks.state_defs, &blocks.event_defs);
+                for item in &mut blocks {
+                    let (rank, records) = item?;
+                    scan(&table, &[BlockInput::Records(rank, &records)])?;
+                }
+                let nranks = blocks.nranks;
+                blocks.finish()?;
+                return Ok((table, nranks));
+            }
+            (TraceSource::Bytes(bytes), TornPolicy::Salvage(_)) => {
+                salvaged = salvage(bytes);
+                &salvaged
+            }
+            (TraceSource::Mmap(map), TornPolicy::Salvage(_)) => {
+                salvaged = salvage(&map);
+                &salvaged
+            }
+            (TraceSource::Reader(mut r), TornPolicy::Salvage(_)) => {
+                let mut bytes = Vec::new();
+                r.read_to_end(&mut bytes)?;
+                salvaged = salvage(&bytes);
+                &salvaged
+            }
+        };
         let mut table = build_categories(&clog.state_defs, &clog.event_defs);
-        let terminal_cats = report.map(|r| register_terminal_categories(&mut table, r));
+        let terminal = match &self.torn {
+            TornPolicy::Salvage(report) => {
+                Some((report, register_terminal_categories(&mut table, report)))
+            }
+            TornPolicy::Strict => None,
+        };
         let blocks: Vec<BlockInput<'_>> = clog
             .blocks
             .iter()
-            .map(|(&rank, records)| BlockInput::Records(rank, records.as_slice()))
+            .map(|(&rank, records)| BlockInput::Records(rank, records))
             .collect();
-        let mut shards = {
-            let _span = self.obs.as_deref().map(|o| o.span("scan", "convert", 0));
-            scan_sources(&blocks, &table, workers, self.obs.as_deref())
-        };
-        if let (Some(report), Some(cats)) = (report, terminal_cats) {
-            shards.push(terminal_shard(clog, report, &cats));
+        scan(&table, &blocks)?;
+        drop(span);
+        if let Some((report, cats)) = terminal {
+            sink(terminal_shard(clog, report, &cats))?;
         }
-        self.finish(shards, table, clog.nranks, workers)
-    }
-
-    /// Convert a raw CLOG2 byte image, scanning records in place.
-    fn convert_image(&self, bytes: &[u8]) -> Result<Conversion, StreamError> {
-        let workers = self.effective_parallelism();
-        let image = Clog2File::parse_image(bytes, CHUNK_RECORDS)?;
-        let table = build_categories(&image.state_defs, &image.event_defs);
-        let blocks: Vec<BlockInput<'_>> = image.blocks.iter().map(BlockInput::Image).collect();
-        let shards = {
-            let _span = self.obs.as_deref().map(|o| o.span("scan", "convert", 0));
-            scan_sources(&blocks, &table, workers, self.obs.as_deref())
-        };
-        Ok(self.finish(shards, table, image.nranks, workers))
-    }
-
-    /// Convert a byte stream, holding one block in memory at a time.
-    pub(crate) fn convert_stream<R: Read>(&self, src: R) -> Result<Conversion, StreamError> {
-        let workers = self.effective_parallelism();
-        let mut blocks = Clog2Blocks::open(src)?;
-        let table = build_categories(&blocks.state_defs, &blocks.event_defs);
-        let nranks = blocks.nranks;
-        let mut shards: BTreeMap<u32, RankScan> = BTreeMap::new();
-        {
-            let _span = self.obs.as_deref().map(|o| o.span("scan", "convert", 0));
-            for item in &mut blocks {
-                let (rank, records) = item?;
-                let input = [BlockInput::Records(rank, records.as_slice())];
-                let scan = scan_sources(&input, &table, workers, self.obs.as_deref())
-                    .pop()
-                    .expect("one block scanned");
-                shards.insert(rank, scan);
-            }
-        }
-        blocks.finish()?;
-        Ok(self.finish(shards.into_values().collect(), table, nranks, workers))
-    }
-
-    /// Salvage a (possibly torn) byte image: recover the clean prefix,
-    /// then convert it with the report's forensics.
-    fn convert_salvaged_bytes(&self, bytes: &[u8], report: &SalvageReport) -> Conversion {
-        let salvaged = Clog2File::salvage_bytes(bytes);
-        self.convert_clog(&salvaged.file, Some(report))
+        Ok((table, clog.nranks))
     }
 
     /// Run the post-scan phases — shard merge, arrow matching,
-    /// diagnostics, tree build, file assembly — over shards given in
-    /// ascending rank order.
-    fn finish(
-        &self,
-        mut shards: Vec<RankScan>,
-        table: CategoryTable,
-        nranks: u32,
-        workers: usize,
-    ) -> Conversion {
+    /// diagnostics, tree build, file assembly.
+    fn finish(&self, mut shards: Vec<RankScan>, table: CategoryTable, nranks: u32) -> Conversion {
         let CategoryTable {
             categories,
             arrow_cat,
             ..
         } = table;
+        let workers = self.effective_parallelism();
         let obs = self.obs.as_deref();
+        // A reader yields blocks in stream order; the salvage terminal
+        // shard (rank `u32::MAX`) sorts last.
+        shards.sort_by_key(|s| s.rank);
 
         // Merge: concatenation in rank order reproduces the serial
         // scan's drawable and warning sequences; the per-shard send/recv
@@ -702,17 +656,7 @@ impl Converter {
         // the same left-to-right fold the serial converter used.
         let _tree_span = obs.map(|o| o.span("tree-build", "convert", 0));
         let range = fold_range(&cols);
-        let timelines = self.timeline_names.clone().unwrap_or_else(|| {
-            (0..nranks)
-                .map(|r| {
-                    if r == 0 {
-                        "PI_MAIN".to_string()
-                    } else {
-                        format!("P{r}")
-                    }
-                })
-                .collect()
-        });
+        let timelines = self.timelines(nranks);
         let tree = FrameTree::build_columnar(
             &cols,
             range.t0,
@@ -733,7 +677,7 @@ impl Converter {
 }
 
 /// The drawables' global `[min start, max end]` range, `[0, 0]` when
-/// empty — the fold `FrameTreeBuilder` performs, over columnar rows.
+/// empty, folded in row order.
 fn fold_range(cols: &DrawableColumns) -> TimeWindow {
     let mut t0 = f64::INFINITY;
     let mut t1 = f64::NEG_INFINITY;
@@ -751,7 +695,7 @@ fn fold_range(cols: &DrawableColumns) -> TimeWindow {
 /// Append the synthetic terminal categories, in fixed ABORTED-then-
 /// DEADLOCKED order and only when some verdict needs them: index
 /// assignment stays deterministic and the no-failure file is unchanged.
-pub(crate) fn register_terminal_categories(
+fn register_terminal_categories(
     table: &mut CategoryTable,
     report: &SalvageReport,
 ) -> [Option<CategoryId>; 2] {
@@ -774,7 +718,7 @@ pub(crate) fn register_terminal_categories(
 /// Build the synthetic final shard carrying the terminal drawables and
 /// the forensic warnings; concatenating it last keeps everything the
 /// plain pipeline emits in its usual order.
-pub(crate) fn terminal_shard(
+fn terminal_shard(
     clog: &Clog2File,
     report: &SalvageReport,
     terminal_cats: &[Option<CategoryId>; 2],
@@ -1017,7 +961,24 @@ pub(crate) fn match_all_arrows(
 }
 
 /// Equal-Drawables group key: (category, placement, bit-exact interval).
-type EqualKey = (u32, u32, u32, u64, u64);
+pub(crate) type EqualKey = (u32, u32, u32, u64, u64);
+
+/// The Equal-Drawables warning for `count` rows sharing `key`.
+pub(crate) fn equal_drawables(
+    categories: &[Category],
+    (cat, _, _, s, e): EqualKey,
+    count: usize,
+) -> ConvertWarning {
+    ConvertWarning::EqualDrawables {
+        category: categories
+            .get(cat as usize)
+            .map(|c| c.name.clone())
+            .unwrap_or_else(|| format!("cat{cat}")),
+        count,
+        t0: f64::from_bits(s),
+        t1: f64::from_bits(e),
+    }
+}
 
 fn detect_equal_drawables(
     cols: &DrawableColumns,
@@ -1059,54 +1020,33 @@ fn detect_equal_drawables(
         });
     }
     let mut dups: Vec<_> = groups.into_iter().filter(|(_, n)| *n > 1).collect();
-    dups.sort_by_key(|((cat, tl, tl2, s, e), _)| (*cat, *tl, *tl2, *s, *e));
-    for ((cat, _, _, s, e), n) in dups {
-        warnings.push(ConvertWarning::EqualDrawables {
-            category: categories
-                .get(cat as usize)
-                .map(|c| c.name.clone())
-                .unwrap_or_else(|| format!("cat{cat}")),
-            count: n,
-            t0: f64::from_bits(s),
-            t1: f64::from_bits(e),
-        });
+    dups.sort_by_key(|&(key, _)| key);
+    for (key, n) in dups {
+        warnings.push(equal_drawables(categories, key, n));
     }
 }
 
-/// Convert a merged CLOG2 log into an SLOG2 file, reporting diagnostics.
-#[deprecated(note = "use `Converter::new().convert(TraceSource::InMemory(clog))`")]
-pub fn convert(clog: &Clog2File, opts: &ConvertOptions) -> (Slog2File, Vec<ConvertWarning>) {
-    let conv = Converter::from_options(opts).convert_clog(clog, None);
-    (conv.file, conv.warnings)
-}
-
-/// Convert a (possibly torn) CLOG2 log from a failed run into a valid,
-/// viewable SLOG2 file.
-#[deprecated(note = "use `Converter::new().on_torn(TornPolicy::Salvage(report)).convert(..)`")]
-pub fn convert_salvaged(
-    clog: &Clog2File,
-    report: &SalvageReport,
-    opts: &ConvertOptions,
-) -> (Slog2File, Vec<ConvertWarning>) {
-    let conv = Converter::from_options(opts).convert_clog(clog, Some(report));
-    (conv.file, conv.warnings)
-}
-
-/// Convert a CLOG2 byte stream without materializing the whole file.
-#[deprecated(note = "use `Converter::new().convert(TraceSource::reader(src))`")]
-pub fn convert_reader<R: Read>(
-    src: R,
-    opts: &ConvertOptions,
-) -> Result<(Slog2File, Vec<ConvertWarning>), StreamError> {
-    let conv = Converter::from_options(opts).convert_stream(src)?;
-    Ok((conv.file, conv.warnings))
-}
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::drawable::Drawable;
     use mpelog::{Color, Logger};
+
+    fn convert_with(conv: Converter, clog: &Clog2File) -> (Slog2File, Vec<ConvertWarning>) {
+        let c = conv.convert(TraceSource::InMemory(clog)).unwrap();
+        (c.file, c.warnings)
+    }
+
+    fn convert(clog: &Clog2File) -> (Slog2File, Vec<ConvertWarning>) {
+        convert_with(Converter::new(), clog)
+    }
+
+    fn salvage(clog: &Clog2File, report: &SalvageReport) -> (Slog2File, Vec<ConvertWarning>) {
+        convert_with(
+            Converter::new().on_torn(TornPolicy::Salvage(report.clone())),
+            clog,
+        )
+    }
 
     /// Build a two-rank CLOG file through the real Logger API.
     fn sample_clog() -> Clog2File {
@@ -1142,7 +1082,7 @@ mod tests {
 
     #[test]
     fn basic_conversion_produces_expected_objects() {
-        let (file, warnings) = convert(&sample_clog(), &ConvertOptions::default());
+        let (file, warnings) = convert(&sample_clog());
         assert!(warnings.is_empty(), "{warnings:?}");
         let ds = file.tree.query(crate::TimeWindow::ALL);
         let states = ds
@@ -1167,7 +1107,7 @@ mod tests {
 
     #[test]
     fn arrow_connects_send_to_receive() {
-        let (file, _) = convert(&sample_clog(), &ConvertOptions::default());
+        let (file, _) = convert(&sample_clog());
         let ds = file.tree.query(crate::TimeWindow::ALL);
         let arrow = ds
             .iter()
@@ -1201,7 +1141,7 @@ mod tests {
             event_defs: vec![],
             blocks,
         };
-        let (file, warnings) = convert(&clog, &ConvertOptions::default());
+        let (file, warnings) = convert(&clog);
         assert!(warnings.is_empty());
         let ds = file.tree.query(crate::TimeWindow::new(0.0, 100.0));
         let mut levels: Vec<(String, u32)> = ds
@@ -1233,7 +1173,7 @@ mod tests {
             event_defs: lg.event_defs().to_vec(),
             blocks,
         };
-        let (file, warnings) = convert(&clog, &ConvertOptions::default());
+        let (file, warnings) = convert(&clog);
         assert!(matches!(
             warnings[0],
             ConvertWarning::UnclosedState { rank: 0, ref name, start } if name == "A" && start == 1.0
@@ -1262,7 +1202,7 @@ mod tests {
             event_defs: vec![],
             blocks,
         };
-        let (_, warnings) = convert(&clog, &ConvertOptions::default());
+        let (_, warnings) = convert(&clog);
         assert!(matches!(warnings[0], ConvertWarning::UnmatchedEnd { .. }));
     }
 
@@ -1281,7 +1221,7 @@ mod tests {
             event_defs: vec![],
             blocks,
         };
-        let (_, warnings) = convert(&clog, &ConvertOptions::default());
+        let (_, warnings) = convert(&clog);
         assert!(warnings
             .iter()
             .any(|w| matches!(w, ConvertWarning::UnmatchedSend { tag: 7, .. })));
@@ -1309,7 +1249,7 @@ mod tests {
             event_defs: vec![],
             blocks,
         };
-        let (_, warnings) = convert(&clog, &ConvertOptions::default());
+        let (_, warnings) = convert(&clog);
         assert!(
             warnings
                 .iter()
@@ -1333,7 +1273,7 @@ mod tests {
             event_defs: vec![],
             blocks,
         };
-        let (_, warnings) = convert(&clog, &ConvertOptions::default());
+        let (_, warnings) = convert(&clog);
         assert!(warnings
             .iter()
             .any(|w| matches!(w, ConvertWarning::BackwardArrow { .. })));
@@ -1345,7 +1285,7 @@ mod tests {
             nranks: 3,
             ..Default::default()
         };
-        let (file, warnings) = convert(&clog, &ConvertOptions::default());
+        let (file, warnings) = convert(&clog);
         assert!(warnings.is_empty());
         assert_eq!(file.range, crate::TimeWindow::new(0.0, 0.0));
         assert_eq!(file.total_drawables(), 0);
@@ -1358,11 +1298,8 @@ mod tests {
             nranks: 2,
             ..Default::default()
         };
-        let opts = ConvertOptions {
-            timeline_names: Some(vec!["master".into(), "compressor".into()]),
-            ..Default::default()
-        };
-        let (file, _) = convert(&clog, &opts);
+        let conv = Converter::new().timeline_names(vec!["master".into(), "compressor".into()]);
+        let (file, _) = convert_with(conv, &clog);
         assert_eq!(
             file.timelines,
             vec!["master".to_string(), "compressor".to_string()]
@@ -1371,7 +1308,7 @@ mod tests {
 
     #[test]
     fn slog2_roundtrip_of_converted_file() {
-        let (file, _) = convert(&sample_clog(), &ConvertOptions::default());
+        let (file, _) = convert(&sample_clog());
         let back = Slog2File::from_bytes(&file.to_bytes()).unwrap();
         assert_eq!(back, file);
     }
@@ -1429,13 +1366,11 @@ mod tests {
     fn parallel_convert_is_byte_identical_to_serial() {
         for nranks in [1u32, 2, 5] {
             let clog = messy_clog(nranks);
-            let serial_opts = ConvertOptions::default().with_parallelism(1);
-            let (serial, serial_warn) = convert(&clog, &serial_opts);
+            let (serial, serial_warn) = convert_with(Converter::new().parallelism(1), &clog);
             let serial_bytes = serial.to_bytes();
             assert!(!serial_warn.is_empty());
             for threads in [2usize, 3, 8] {
-                let opts = ConvertOptions::default().with_parallelism(threads);
-                let (par, par_warn) = convert(&clog, &opts);
+                let (par, par_warn) = convert_with(Converter::new().parallelism(threads), &clog);
                 assert_eq!(par_warn, serial_warn, "{nranks} ranks, {threads} threads");
                 assert_eq!(
                     par.to_bytes(),
@@ -1453,10 +1388,10 @@ mod tests {
         let clog = messy_clog(5);
         let snap_at = |threads: usize| {
             let o = obs::Obs::handle();
-            let opts = ConvertOptions::default()
-                .with_parallelism(threads)
-                .with_observability(o.clone());
-            let _ = convert(&clog, &opts);
+            let conv = Converter::new()
+                .parallelism(threads)
+                .observability(o.clone());
+            let _ = convert_with(conv, &clog);
             o.snapshot()
         };
         let base = snap_at(1);
@@ -1473,11 +1408,11 @@ mod tests {
         let clog = messy_clog(4);
         let bytes = clog.to_bytes();
         for threads in [1usize, 4] {
-            let opts = ConvertOptions::default().with_parallelism(threads);
-            let (whole, whole_warn) = convert(&clog, &opts);
-            let (streamed, stream_warn) = convert_reader(&bytes[..], &opts).unwrap();
-            assert_eq!(stream_warn, whole_warn);
-            assert_eq!(streamed.to_bytes(), whole.to_bytes());
+            let conv = Converter::new().parallelism(threads);
+            let (whole, whole_warn) = convert_with(conv.clone(), &clog);
+            let streamed = conv.convert(TraceSource::reader(&bytes[..])).unwrap();
+            assert_eq!(streamed.warnings, whole_warn);
+            assert_eq!(streamed.file.to_bytes(), whole.to_bytes());
         }
     }
 
@@ -1485,24 +1420,23 @@ mod tests {
     fn streaming_convert_propagates_truncation() {
         let clog = messy_clog(2);
         let bytes = clog.to_bytes();
-        let err = convert_reader(&bytes[..bytes.len() - 6], &ConvertOptions::default());
+        let err = Converter::new().convert(TraceSource::reader(&bytes[..bytes.len() - 6]));
         assert!(err.is_err());
     }
 
     #[test]
     fn parallelism_zero_resolves_to_a_worker_count() {
-        let opts = ConvertOptions::default();
-        assert_eq!(opts.parallelism, 0);
-        assert!(opts.effective_parallelism() >= 1);
-        assert_eq!(opts.clone().with_parallelism(3).effective_parallelism(), 3);
+        let conv = Converter::new();
+        assert_eq!(conv.parallelism, 0);
+        assert!(conv.effective_parallelism() >= 1);
+        assert_eq!(conv.parallelism(3).effective_parallelism(), 3);
     }
 
     #[test]
     fn empty_salvage_report_converts_byte_identically() {
         let clog = sample_clog();
-        let opts = ConvertOptions::default();
-        let (plain, plain_warn) = convert(&clog, &opts);
-        let (salvaged, salvage_warn) = convert_salvaged(&clog, &SalvageReport::default(), &opts);
+        let (plain, plain_warn) = convert(&clog);
+        let (salvaged, salvage_warn) = salvage(&clog, &SalvageReport::default());
         assert_eq!(salvage_warn, plain_warn);
         assert_eq!(salvaged.to_bytes(), plain.to_bytes());
     }
@@ -1521,7 +1455,7 @@ mod tests {
             bytes_recovered: 120,
             truncated: true,
         };
-        let (file, warnings) = convert_salvaged(&clog, &report, &ConvertOptions::default());
+        let (file, warnings) = salvage(&clog, &report);
         assert!(
             crate::validate::validate(&file).is_empty(),
             "{:?}",
@@ -1568,7 +1502,7 @@ mod tests {
     #[test]
     fn terminal_categories_appended_after_arrow_category() {
         let clog = sample_clog();
-        let (plain, _) = convert(&clog, &ConvertOptions::default());
+        let (plain, _) = convert(&clog);
         let report = SalvageReport {
             verdicts: vec![
                 RankVerdict {
@@ -1584,7 +1518,7 @@ mod tests {
             ],
             ..Default::default()
         };
-        let (file, _) = convert_salvaged(&clog, &report, &ConvertOptions::default());
+        let (file, _) = salvage(&clog, &report);
         // Prefix of the category table is exactly the plain table (the
         // arrow category keeps its index)...
         let n = plain.categories.len();
@@ -1620,7 +1554,7 @@ mod tests {
             truncated: true,
             ..Default::default()
         };
-        let (file, _) = convert_salvaged(&clog, &report, &ConvertOptions::default());
+        let (file, _) = salvage(&clog, &report);
         assert!(crate::validate::validate(&file).is_empty());
         let ds = file.tree.query(crate::TimeWindow::ALL);
         let term = ds
@@ -1645,7 +1579,7 @@ mod tests {
             }],
             ..Default::default()
         };
-        let (file, warnings) = convert_salvaged(&clog, &report, &ConvertOptions::default());
+        let (file, warnings) = salvage(&clog, &report);
         let ds = file.tree.query(crate::TimeWindow::ALL);
         let term_cat = file.categories.last().unwrap().index;
         let term = ds
@@ -1673,7 +1607,7 @@ mod tests {
             diagnosis: Some("1 process(es) cannot proceed".into()),
             ..Default::default()
         };
-        let (file, _) = convert_salvaged(&sample_clog(), &report, &ConvertOptions::default());
+        let (file, _) = salvage(&sample_clog(), &report);
         let back = Slog2File::from_bytes(&file.to_bytes()).unwrap();
         assert_eq!(back, file);
     }

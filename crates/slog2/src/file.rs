@@ -89,30 +89,18 @@ impl Slog2File {
 
     /// Serialize to bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(4096);
-        w.put_bytes(MAGIC);
-        w.put_u32(self.tree.capacity as u32);
-        w.put_u32(self.tree.max_depth);
-        w.put_f64(self.range.t0);
-        w.put_f64(self.range.t1);
-        w.put_u32(self.timelines.len() as u32);
-        for t in &self.timelines {
-            w.put_str(t);
-        }
-        w.put_u32(self.categories.len() as u32);
-        for c in &self.categories {
-            c.encode(&mut w);
-        }
-        w.put_u32(self.warnings.len() as u32);
-        for s in &self.warnings {
-            w.put_str(s);
-        }
-
-        // Count nodes, reserve directory, then write nodes patching
-        // their offsets in.
-        let mut n_nodes = 0u32;
-        self.tree.visit(&mut |_| n_nodes += 1);
-        w.put_u32(n_nodes);
+        let n_nodes = self.tree.node_count();
+        let header = Header {
+            capacity: self.tree.capacity,
+            max_depth: self.tree.max_depth,
+            range: self.range,
+            timelines: &self.timelines,
+            categories: &self.categories,
+            warnings: &self.warnings,
+        };
+        let mut w = header.encode(n_nodes);
+        // Reserve the directory, then write nodes patching their
+        // offsets in.
         let dir_start = w.len();
         for _ in 0..n_nodes {
             w.put_u64(0);
@@ -139,22 +127,10 @@ impl Slog2File {
         let capacity = r.get_u32()? as usize;
         let max_depth = r.get_u32()?;
         let range = TimeWindow::new(r.get_f64()?, r.get_f64()?);
-        let ntl = checked_count(r.get_u32()?, bytes.len())?;
-        let mut timelines = Vec::with_capacity(ntl);
-        for _ in 0..ntl {
-            timelines.push(r.get_str()?);
-        }
-        let ncat = checked_count(r.get_u32()?, bytes.len())?;
-        let mut categories = Vec::with_capacity(ncat);
-        for _ in 0..ncat {
-            categories.push(Category::decode(&mut r)?);
-        }
-        let nwarn = checked_count(r.get_u32()?, bytes.len())?;
-        let mut warnings = Vec::with_capacity(nwarn);
-        for _ in 0..nwarn {
-            warnings.push(r.get_str()?);
-        }
-        let n_nodes = checked_count(r.get_u32()?, bytes.len())?;
+        let timelines = decode_seq(&mut r, MIN_STR, Reader::get_str)?;
+        let categories = decode_seq(&mut r, MIN_CATEGORY, Category::decode)?;
+        let warnings = decode_seq(&mut r, MIN_STR, Reader::get_str)?;
+        let n_nodes = get_count(&mut r, 8)?;
         // Skip the directory; sequential parse doesn't need it.
         let _dir = r.get_bytes(n_nodes * 8)?;
         let mut consumed = 0usize;
@@ -252,35 +228,127 @@ impl Query for Slog2File {
     }
 }
 
-fn checked_count(v: u32, bound: usize) -> Result<usize, WireError> {
-    let n = v as usize;
-    if n > bound {
-        return Err(WireError::Corrupt(format!("count {n} exceeds file size")));
+/// The parts of a file the header carries: everything before the node
+/// directory. The one header encoder, shared by [`Slog2File::to_bytes`]
+/// and the out-of-core writer (which never holds a whole tree).
+pub(crate) struct Header<'a> {
+    pub(crate) capacity: usize,
+    pub(crate) max_depth: u32,
+    pub(crate) range: TimeWindow,
+    pub(crate) timelines: &'a [String],
+    pub(crate) categories: &'a [Category],
+    pub(crate) warnings: &'a [String],
+}
+
+impl Header<'_> {
+    /// Encode the header, ending with the node count.
+    pub(crate) fn encode(&self, n_nodes: usize) -> Writer {
+        let mut w = Writer::with_capacity(4096);
+        w.put_bytes(MAGIC);
+        w.put_u32(self.capacity as u32);
+        w.put_u32(self.max_depth);
+        w.put_f64(self.range.t0);
+        w.put_f64(self.range.t1);
+        w.put_u32(self.timelines.len() as u32);
+        for t in self.timelines {
+            w.put_str(t);
+        }
+        w.put_u32(self.categories.len() as u32);
+        for c in self.categories {
+            c.encode(&mut w);
+        }
+        w.put_u32(self.warnings.len() as u32);
+        for s in self.warnings {
+            w.put_str(s);
+        }
+        w.put_u32(n_nodes as u32);
+        w
     }
-    Ok(n)
+}
+
+/// Encode a node's head: everything before its drawables.
+pub(crate) fn encode_node_head(
+    w: &mut Writer,
+    t0: f64,
+    t1: f64,
+    depth: u32,
+    has_children: bool,
+    n_drawables: usize,
+) {
+    w.put_f64(t0);
+    w.put_f64(t1);
+    w.put_u32(depth);
+    w.put_u8(has_children as u8);
+    w.put_u32(n_drawables as u32);
+}
+
+/// Encode a node's preview: its tail, after the drawables.
+pub(crate) fn encode_preview(w: &mut Writer, preview: &Preview) {
+    w.put_u32(preview.entries.len() as u32);
+    for e in &preview.entries {
+        w.put_u32(e.category.0);
+        w.put_u64(e.count);
+        w.put_f64(e.coverage);
+    }
 }
 
 fn encode_node(node: &FrameNode, w: &mut Writer, dir_start: usize, idx: &mut usize) {
     w.patch_u64(dir_start + *idx * 8, w.len() as u64);
     *idx += 1;
-    w.put_f64(node.t0);
-    w.put_f64(node.t1);
-    w.put_u32(node.depth);
-    w.put_u8(node.children.is_some() as u8);
-    w.put_u32(node.drawables.len() as u32);
+    let has_children = node.children.is_some();
+    encode_node_head(
+        w,
+        node.t0,
+        node.t1,
+        node.depth,
+        has_children,
+        node.drawables.len(),
+    );
     for d in &node.drawables {
         d.encode(w);
     }
-    w.put_u32(node.preview.entries.len() as u32);
-    for e in &node.preview.entries {
-        w.put_u32(e.category.0);
-        w.put_u64(e.count);
-        w.put_f64(e.coverage);
-    }
+    encode_preview(w, &node.preview);
     if let Some(ch) = &node.children {
         encode_node(&ch.0, w, dir_start, idx);
         encode_node(&ch.1, w, dir_start, idx);
     }
+}
+
+/// Smallest encodings: a string is at least its `u32` length; a
+/// category an index, an empty name, a color and a kind byte; a
+/// drawable an event with empty text; a preview entry is fixed-size.
+const MIN_STR: usize = 4;
+const MIN_CATEGORY: usize = 4 + MIN_STR + 4 + 1;
+const MIN_DRAWABLE: usize = 1 + 4 + 4 + 8 + MIN_STR;
+const MIN_PREVIEW_ENTRY: usize = 4 + 8 + 8;
+
+/// Read a `u32` element count, rejecting one the remaining bytes cannot
+/// hold at `min_size` bytes per element — so the reservation that
+/// follows is bounded by the input's own size, not by the count a
+/// hostile image claims.
+fn get_count(r: &mut Reader<'_>, min_size: usize) -> Result<usize, WireError> {
+    let n = r.get_u32()? as usize;
+    if n > r.remaining() / min_size {
+        return Err(WireError::Corrupt(format!(
+            "count {n} exceeds the {} bytes left",
+            r.remaining()
+        )));
+    }
+    Ok(n)
+}
+
+/// Decode a count-prefixed sequence (see [`get_count`]).
+fn decode_seq<'a, T>(
+    r: &mut Reader<'a>,
+    min_size: usize,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let n = get_count(r, min_size)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(item(r)?);
+    }
+    Ok(out)
 }
 
 fn decode_one_node(r: &mut Reader<'_>) -> Result<(FrameNode, bool), WireError> {
@@ -288,26 +356,14 @@ fn decode_one_node(r: &mut Reader<'_>) -> Result<(FrameNode, bool), WireError> {
     let t1 = r.get_f64()?;
     let depth = r.get_u32()?;
     let has_children = r.get_u8()? != 0;
-    let nd = r.get_u32()? as usize;
-    if nd > r.remaining() {
-        return Err(WireError::Corrupt("drawable count".into()));
-    }
-    let mut drawables = Vec::with_capacity(nd);
-    for _ in 0..nd {
-        drawables.push(Drawable::decode(r)?);
-    }
-    let np = r.get_u32()? as usize;
-    if np > r.remaining() {
-        return Err(WireError::Corrupt("preview count".into()));
-    }
-    let mut entries = Vec::with_capacity(np);
-    for _ in 0..np {
-        entries.push(PreviewEntry {
+    let drawables = decode_seq(r, MIN_DRAWABLE, Drawable::decode)?;
+    let entries = decode_seq(r, MIN_PREVIEW_ENTRY, |r| {
+        Ok(PreviewEntry {
             category: CategoryId(r.get_u32()?),
             count: r.get_u64()?,
             coverage: r.get_f64()?,
-        });
-    }
+        })
+    })?;
     Ok((
         FrameNode {
             t0,

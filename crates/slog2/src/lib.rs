@@ -7,12 +7,17 @@
 //! window without scanning the whole file. This crate reproduces both
 //! halves:
 //!
-//! * [`convert`](mod@convert): pairs state start/end events (with nesting), matches
-//!   send/receive records into arrows, detects the **Equal Drawables**
-//!   condition the paper hits (identical timestamps from a
-//!   limited-resolution `MPI_Wtime`), and reports "non-well-behaved"
-//!   logs (unclosed states, unmatched sends) as warnings rather than
-//!   producing a silently defective file.
+//! * [`convert`](mod@convert): the [`Converter`] builder. It pairs
+//!   state start/end events (with nesting), matches send/receive
+//!   records into arrows, detects the **Equal Drawables** condition the
+//!   paper hits (identical timestamps from a limited-resolution
+//!   `MPI_Wtime`), and reports "non-well-behaved" logs (unclosed
+//!   states, unmatched sends) as warnings rather than producing a
+//!   silently defective file. Every [`TraceSource`] and
+//!   [`TornPolicy`] goes through one source front end, in memory
+//!   ([`Converter::convert`]) or out of core under a memory budget
+//!   ([`oocore`], [`Converter::convert_to_path`]); both emit the same
+//!   bytes.
 //! * [`tree`]: the frame tree. Each drawable lives in the shallowest
 //!   node whose time interval fully contains it; every node carries a
 //!   per-category *preview* histogram so a zoomed-out view can draw
@@ -20,6 +25,7 @@
 //!   paper's Fig. 1 — without touching the leaves.
 //! * [`file`](mod@file): a binary container with a node directory (byte offsets),
 //!   allowing random access to any frame, plus whole-file round-trip.
+//!   It holds the one encoder of the header, node heads and previews.
 //! * [`stats`]: the legend-table numbers Jumpshot shows — per-category
 //!   instance count, *inclusive* duration, and *exclusive* duration
 //!   (inclusive minus nested states).
@@ -39,11 +45,8 @@ pub mod tree;
 pub mod validate;
 pub mod window;
 
-#[allow(deprecated)]
-pub use convert::{convert, convert_reader, convert_salvaged};
 pub use convert::{
-    Conversion, ConvertOptions, ConvertWarning, Converter, FailureKind, RankVerdict, SalvageReport,
-    TornPolicy,
+    Conversion, ConvertWarning, Converter, FailureKind, RankVerdict, SalvageReport, TornPolicy,
 };
 pub use drawable::{ArrowDrawable, Category, CategoryKind, Drawable, EventDrawable, StateDrawable};
 pub use error::Slog2Error;
@@ -52,6 +55,6 @@ pub use id::{CategoryId, CategoryMap, TimelineId, WellKnownCategory};
 pub use oocore::ConvertSummary;
 pub use source::{Mmap, TraceSource};
 pub use stats::{legend_stats, CategoryStats};
-pub use tree::{FrameNode, FrameTree, FrameTreeBuilder, Preview};
+pub use tree::{FrameNode, FrameTree, Preview};
 pub use validate::{validate, Defect};
 pub use window::{Query, TimeWindow};

@@ -11,8 +11,9 @@
 //!
 //! ## The three passes
 //!
-//! 1. **Scan + spill.** Each rank block is scanned (with the same
-//!    chunk-stealing scan as the in-memory path) and its rows appended
+//! 1. **Scan + spill.** The source front end the in-memory path uses
+//!    hands over one scanned rank block at a time (same sources, same
+//!    torn-input policy, same chunk-stealing scan), and its rows append
 //!    to the row file as one *segment*: `[start, end, cat, duration,
 //!    payload]` per row, where the payload is the row's exact
 //!    `Drawable::encode` bytes. Per-rank send/recv lists, warnings, and
@@ -31,8 +32,10 @@
 //!    the realized tree, accumulating node previews *in row order*
 //!    (float summation order is what makes previews bit-identical) and
 //!    tagging the row with its owning node's preorder index. Rows
-//!    externally sort by `(preorder, sequence)` and stream into the
-//!    file behind the header; the node directory is patched in place.
+//!    externally sort by `(preorder, sequence)`. Node heads, previews
+//!    and per-node payload sizes fix every node's offset up front, so
+//!    the header (encoded by [`crate::file`], like every node head and
+//!    preview), the directory and the nodes stream out in one pass.
 //!
 //! The reach map and per-node previews are the only tree state held in
 //! memory — `O(nodes)`, not `O(drawables)`. Path ids cap the tree depth
@@ -45,18 +48,19 @@ use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mpelog::clog2::{Clog2Blocks, StreamError};
+use mpelog::clog2::StreamError;
 use mpelog::wire::Writer;
-use mpelog::Clog2File;
 
 use crate::columnar::DrawableColumns;
 use crate::convert::{
-    match_all_arrows, register_terminal_categories, terminal_shard, Conversion, ConvertWarning,
-    Converter, TornPolicy,
+    equal_drawables, match_all_arrows, Conversion, ConvertWarning, Converter, EqualKey,
 };
+use crate::file::{encode_node_head, encode_preview, Header};
 use crate::fnv::{fnv1a, FnvBuild, FNV_SEED};
-use crate::scan::{build_categories, scan_sources, BlockInput, CategoryTable, RankScan};
+use crate::id::CategoryId;
 use crate::source::TraceSource;
+use crate::tree::Preview;
+use crate::window::TimeWindow;
 
 /// What [`Converter::convert_to_path`] reports: enough to check two
 /// runs produced the same file without re-reading either.
@@ -442,7 +446,7 @@ fn read_u32(r: &mut impl Read) -> io::Result<u32> {
 
 /// Pack an Equal-Drawables key big-endian so byte order equals tuple
 /// order.
-fn pack_equal_key(k: (u32, u32, u32, u64, u64)) -> [u8; 28] {
+fn pack_equal_key(k: EqualKey) -> [u8; 28] {
     let mut out = [0u8; 28];
     out[0..4].copy_from_slice(&k.0.to_be_bytes());
     out[4..8].copy_from_slice(&k.1.to_be_bytes());
@@ -452,6 +456,12 @@ fn pack_equal_key(k: (u32, u32, u32, u64, u64)) -> [u8; 28] {
     out
 }
 
+fn unpack_equal_key(b: &[u8]) -> EqualKey {
+    let u32_at = |i: usize| u32::from_be_bytes(b[i..i + 4].try_into().expect("key width"));
+    let u64_at = |i: usize| u64::from_be_bytes(b[i..i + 8].try_into().expect("key width"));
+    (u32_at(0), u32_at(4), u32_at(8), u64_at(12), u64_at(20))
+}
+
 /// One realized tree node, preorder.
 struct NodeMeta {
     t0: f64,
@@ -459,25 +469,6 @@ struct NodeMeta {
     depth: u32,
     split: bool,
     items: u64,
-}
-
-/// Per-category preview accumulator mirroring `Preview::add` (sorted
-/// insert, `count += 1`, `coverage += duration` in arrival order).
-#[derive(Default)]
-struct PreviewAcc {
-    entries: Vec<(u32, u64, f64)>,
-}
-
-impl PreviewAcc {
-    fn add(&mut self, cat: u32, dur: f64) {
-        match self.entries.binary_search_by_key(&cat, |e| e.0) {
-            Ok(i) => {
-                self.entries[i].1 += 1;
-                self.entries[i].2 += dur;
-            }
-            Err(i) => self.entries.insert(i, (cat, 1, dur)),
-        }
-    }
 }
 
 /// Walk one row down the potential tree, calling `visit(path_id)` at
@@ -555,16 +546,6 @@ fn realize_tree(
     (nodes, map)
 }
 
-/// Everything the driver hands to the writer.
-struct Prepared {
-    table: CategoryTable,
-    shards: Vec<RankScan>,
-    warnings: Vec<ConvertWarning>,
-    rows: RowFile,
-    eq: ExtSorter,
-    nranks: u32,
-}
-
 fn run_out_of_core(
     conv: &Converter,
     src: TraceSource<'_>,
@@ -575,73 +556,66 @@ fn run_out_of_core(
     let budget = conv.memory_budget.unwrap_or(usize::MAX);
     let spill_dir = conv.spill_dir.as_deref();
 
-    // ---- Pass A: scan ranks, spill drawable rows per segment. ----
-    let mut prep = {
-        let _span = obs.map(|o| o.span("scan", "convert", 0));
-        prepare(conv, src, workers, budget, spill_dir)?
-    };
+    // ---- Pass A: scan one rank block at a time (so only one rank's
+    // drawables are ever resident), spilling its rows as a segment and
+    // keeping the small residents (sends/recvs/warnings) for matching.
+    let mut rows = RowFile::create(spill_dir)?;
+    let mut eq = ExtSorter::new(budget / 4, spill_dir, "eqkeys");
+    let mut shards = Vec::new();
+    let (table, nranks) = conv.scan_source(src, true, |mut scan| {
+        rows.spill_shard((0, scan.rank), &scan.cols, &mut eq)?;
+        scan.cols = DrawableColumns::new();
+        shards.push(scan);
+        Ok(())
+    })?;
+    // Shard warnings flow into the global list in rank order — exactly
+    // the in-memory merge.
+    shards.sort_by_key(|s| s.rank);
+    let mut warnings: Vec<ConvertWarning> = shards
+        .iter_mut()
+        .flat_map(|s| std::mem::take(&mut s.warnings))
+        .collect();
 
     // Arrow matching runs on the resident send/recv lists; its rows
     // spill as the final segment.
     {
         let _span = obs.map(|o| o.span("arrow-match", "convert", 0));
         let mut acols = DrawableColumns::new();
-        match_all_arrows(
-            &prep.shards,
-            prep.table.arrow_cat,
-            workers,
-            obs,
-            &mut acols,
-            &mut prep.warnings,
-        );
-        prep.rows.spill_shard((1, 0), &acols, &mut prep.eq)?;
+        let arrow_cat = table.arrow_cat;
+        match_all_arrows(&shards, arrow_cat, workers, obs, &mut acols, &mut warnings);
+        rows.spill_shard((1, 0), &acols, &mut eq)?;
     }
 
     // Equal-Drawables: drain the key sorter, report runs longer than 1
     // in key order (identical to the in-memory sorted-dups report).
     {
         let _span = obs.map(|o| o.span("diagnose", "convert", 0));
-        let mut sorted = prep.eq.into_sorted()?;
+        let mut sorted = eq.into_sorted()?;
         let mut current: Option<(Vec<u8>, usize)> = None;
         let flush = |cur: &mut Option<(Vec<u8>, usize)>, warnings: &mut Vec<ConvertWarning>| {
-            if let Some((key, n)) = cur.take() {
-                if n > 1 {
-                    let cat = u32::from_be_bytes(key[0..4].try_into().expect("key width"));
-                    let t0 = f64::from_bits(u64::from_be_bytes(
-                        key[12..20].try_into().expect("key width"),
-                    ));
-                    let t1 = f64::from_bits(u64::from_be_bytes(
-                        key[20..28].try_into().expect("key width"),
-                    ));
-                    warnings.push(ConvertWarning::EqualDrawables {
-                        category: prep
-                            .table
-                            .categories
-                            .get(cat as usize)
-                            .map(|c| c.name.clone())
-                            .unwrap_or_else(|| format!("cat{cat}")),
-                        count: n,
-                        t0,
-                        t1,
-                    });
-                }
+            if let Some((key, n)) = cur.take().filter(|&(_, n)| n > 1) {
+                warnings.push(equal_drawables(
+                    &table.categories,
+                    unpack_equal_key(&key),
+                    n,
+                ));
             }
         };
         while let Some(key) = sorted.next_rec()? {
             match &mut current {
                 Some((k, n)) if *k == key => *n += 1,
                 _ => {
-                    flush(&mut current, &mut prep.warnings);
+                    flush(&mut current, &mut warnings);
                     current = Some((key, 1));
                 }
             }
         }
-        flush(&mut current, &mut prep.warnings);
+        flush(&mut current, &mut warnings);
     }
 
     // ---- Pass B: range + reach counts → realized tree shape. ----
     let _tree_span = obs.map(|o| o.span("tree-build", "convert", 0));
-    let cursor = prep.rows.finish()?;
+    let cursor = rows.finish()?;
     let (t0, t1) = cursor.range();
     let capacity = conv.frame_capacity.max(1);
     let mut reach: HashMap<u64, u64, FnvBuild> = HashMap::default();
@@ -661,13 +635,14 @@ fn run_out_of_core(
     // creates. Rows stream in global sequence order, so each node's
     // preview accumulates its items in exactly the order the in-memory
     // build adds them (per-node f64 sums are bit-identical).
-    let mut previews: Vec<PreviewAcc> = nodes.iter().map(|_| PreviewAcc::default()).collect();
+    let mut previews = vec![Preview::default(); nodes.len()];
     let mut placed = ExtSorter::new(budget / 2, spill_dir, "placed");
+    let mut payload_bytes = vec![0u64; nodes.len()];
     cursor.for_each(|seq, row| {
         let (mut id, mut a, mut b) = (1u64, t0, t1);
         let keep = loop {
             let pre = node_of[&id];
-            previews[pre as usize].add(row.cat, row.dur);
+            previews[pre as usize].add(CategoryId(row.cat), row.dur);
             if !nodes[pre as usize].split {
                 break pre;
             }
@@ -682,6 +657,7 @@ fn run_out_of_core(
                 break pre;
             }
         };
+        payload_bytes[keep as usize] += row.payload.len() as u64;
         let mut rec = Vec::with_capacity(12 + row.payload.len());
         rec.extend_from_slice(&keep.to_be_bytes());
         rec.extend_from_slice(&seq.to_be_bytes());
@@ -690,56 +666,49 @@ fn run_out_of_core(
     })?;
 
     // ---- Write the file. ----
-    let timelines = conv.timeline_names.clone().unwrap_or_else(|| {
-        (0..prep.nranks)
-            .map(|r| {
-                if r == 0 {
-                    "PI_MAIN".to_string()
-                } else {
-                    format!("P{r}")
-                }
-            })
-            .collect()
-    });
-    let mut header = Writer::with_capacity(4096);
-    header.put_bytes(b"PSLOG2\x00\x01");
-    header.put_u32(capacity as u32);
-    header.put_u32(conv.max_depth);
-    header.put_f64(t0);
-    header.put_f64(t1);
-    header.put_u32(timelines.len() as u32);
-    for t in &timelines {
-        header.put_str(t);
+    let warning_texts: Vec<String> = warnings.iter().map(|w| w.to_string()).collect();
+    let header = Header {
+        capacity,
+        max_depth: conv.max_depth,
+        range: TimeWindow::new(t0, t1),
+        timelines: &conv.timelines(nranks),
+        categories: &table.categories,
+        warnings: &warning_texts,
     }
-    header.put_u32(prep.table.categories.len() as u32);
-    for c in &prep.table.categories {
-        c.encode(&mut header);
-    }
-    header.put_u32(prep.warnings.len() as u32);
-    for w in &prep.warnings {
-        header.put_str(&w.to_string());
-    }
-    header.put_u32(nodes.len() as u32);
-    let header = header.into_bytes();
+    .encode(nodes.len())
+    .into_bytes();
 
+    // Node heads and preview tails are O(nodes): encoding them first
+    // fixes every node's offset, so the directory goes out in place and
+    // the file streams out once, digested on the way.
+    let parts: Vec<(Vec<u8>, Vec<u8>)> = nodes
+        .iter()
+        .zip(&previews)
+        .map(|(node, preview)| {
+            let mut head = Writer::with_capacity(32);
+            let items = node.items as usize;
+            encode_node_head(&mut head, node.t0, node.t1, node.depth, node.split, items);
+            let mut tail = Writer::with_capacity(4 + 20 * preview.entries.len());
+            encode_preview(&mut tail, preview);
+            (head.into_bytes(), tail.into_bytes())
+        })
+        .collect();
     let mut out = BufWriter::new(File::create(dst)?);
-    out.write_all(&header)?;
-    let dir_start = header.len() as u64;
-    out.write_all(&vec![0u8; nodes.len() * 8])?;
-    let mut pos = dir_start + nodes.len() as u64 * 8;
-    let mut directory = Vec::with_capacity(nodes.len());
+    let (mut digest, mut bytes_written) = (FNV_SEED, 0u64);
+    let mut put = |bytes: &[u8]| {
+        digest = fnv1a(digest, bytes);
+        bytes_written += bytes.len() as u64;
+        out.write_all(bytes)
+    };
+    put(&header)?;
+    let mut pos = (header.len() + nodes.len() * 8) as u64;
+    for ((head, tail), payload) in parts.iter().zip(&payload_bytes) {
+        put(&pos.to_le_bytes())?;
+        pos += (head.len() + tail.len()) as u64 + payload;
+    }
     let mut sorted = placed.into_sorted()?;
-    for (pre, node) in nodes.iter().enumerate() {
-        directory.push(pos);
-        let mut w = Writer::with_capacity(64);
-        w.put_f64(node.t0);
-        w.put_f64(node.t1);
-        w.put_u32(node.depth);
-        w.put_u8(node.split as u8);
-        w.put_u32(node.items as u32);
-        let head = w.into_bytes();
-        out.write_all(&head)?;
-        pos += head.len() as u64;
+    for (pre, ((head, tail), node)) in parts.iter().zip(&nodes).enumerate() {
+        put(head)?;
         // The sorted stream is grouped by preorder index, and the reach
         // arithmetic guarantees each group's length equals the node's
         // item count — assert rather than trust.
@@ -753,197 +722,26 @@ fn run_out_of_core(
                     "row placed outside its node",
                 )));
             }
-            out.write_all(&rec[12..])?;
-            pos += rec.len() as u64 - 12;
+            put(&rec[12..])?;
         }
-        let pv = &previews[pre].entries;
-        let mut w = Writer::with_capacity(16 * pv.len() + 4);
-        w.put_u32(pv.len() as u32);
-        for &(cat, count, coverage) in pv {
-            w.put_u32(cat);
-            w.put_u64(count);
-            w.put_f64(coverage);
-        }
-        let tail = w.into_bytes();
-        out.write_all(&tail)?;
-        pos += tail.len() as u64;
+        put(tail)?;
     }
-    let mut f = out.into_inner().map_err(io::Error::other)?;
-    f.seek(SeekFrom::Start(dir_start))?;
-    let mut dir_bytes = Vec::with_capacity(directory.len() * 8);
-    for off in &directory {
-        dir_bytes.extend_from_slice(&off.to_le_bytes());
-    }
-    f.write_all(&dir_bytes)?;
-    f.flush()?;
-    drop(f);
-
-    // Digest the finished file.
-    let mut digest = FNV_SEED;
-    let mut bytes_written = 0u64;
-    let mut r = BufReader::new(File::open(dst)?);
-    let mut buf = vec![0u8; 1 << 16];
-    loop {
-        let n = r.read(&mut buf)?;
-        if n == 0 {
-            break;
-        }
-        digest = fnv1a(digest, &buf[..n]);
-        bytes_written += n as u64;
-    }
+    out.flush()?;
 
     Ok(ConvertSummary {
         drawables: cursor.total_rows,
         nodes: nodes.len() as u64,
-        warnings: prep.warnings,
+        warnings,
         bytes_written,
         digest,
     })
 }
 
-/// Pass A over every source kind: scan rank blocks (one at a time, so
-/// only one rank's drawables are ever resident), spill row segments,
-/// and keep the small residents (sends/recvs/warnings) for matching.
-fn prepare(
-    conv: &Converter,
-    src: TraceSource<'_>,
-    workers: usize,
-    budget: usize,
-    spill_dir: Option<&Path>,
-) -> Result<Prepared, StreamError> {
-    let mut rows = RowFile::create(spill_dir)?;
-    let mut eq = ExtSorter::new(budget / 4, spill_dir, "eqkeys");
-    let obs = conv.obs.as_deref();
-
-    fn spill_scan(scan: &mut RankScan, rows: &mut RowFile, eq: &mut ExtSorter) -> io::Result<()> {
-        rows.spill_shard((0, scan.rank), &scan.cols, eq)?;
-        scan.cols = DrawableColumns::new();
-        Ok(())
-    }
-
-    // Salvage mode recovers the clean byte prefix first, then runs the
-    // same per-rank pipeline plus the terminal shard.
-    if let TornPolicy::Salvage(report) = &conv.torn {
-        let clog: Clog2File = match src {
-            TraceSource::InMemory(c) => c.clone(),
-            TraceSource::Bytes(b) => Clog2File::salvage_bytes(b).file,
-            TraceSource::Mmap(ref m) => Clog2File::salvage_bytes(m).file,
-            TraceSource::Reader(mut r) => {
-                let mut bytes = Vec::new();
-                r.read_to_end(&mut bytes)?;
-                Clog2File::salvage_bytes(&bytes).file
-            }
-        };
-        let mut table = build_categories(&clog.state_defs, &clog.event_defs);
-        let terminal_cats = register_terminal_categories(&mut table, report);
-        let mut shards = Vec::with_capacity(clog.blocks.len() + 1);
-        for (&rank, records) in &clog.blocks {
-            let input = [BlockInput::Records(rank, records.as_slice())];
-            let mut scan = scan_sources(&input, &table, workers, obs)
-                .pop()
-                .expect("one block scanned");
-            spill_scan(&mut scan, &mut rows, &mut eq)?;
-            shards.push(scan);
-        }
-        let mut terminal = terminal_shard(&clog, report, &terminal_cats);
-        spill_scan(&mut terminal, &mut rows, &mut eq)?;
-        shards.push(terminal);
-        let mut warnings = Vec::new();
-        for s in &mut shards {
-            warnings.append(&mut s.warnings);
-        }
-        return Ok(Prepared {
-            table,
-            shards,
-            warnings,
-            rows,
-            eq,
-            nranks: clog.nranks,
-        });
-    }
-
-    let (table, mut shards, nranks) = match src {
-        TraceSource::InMemory(clog) => {
-            let table = build_categories(&clog.state_defs, &clog.event_defs);
-            let mut shards = Vec::with_capacity(clog.blocks.len());
-            for (&rank, records) in &clog.blocks {
-                let input = [BlockInput::Records(rank, records.as_slice())];
-                let mut scan = scan_sources(&input, &table, workers, obs)
-                    .pop()
-                    .expect("one block scanned");
-                spill_scan(&mut scan, &mut rows, &mut eq)?;
-                shards.push(scan);
-            }
-            (table, shards, clog.nranks)
-        }
-        TraceSource::Bytes(bytes) => scan_image(bytes, workers, obs, &mut rows, &mut eq)?,
-        TraceSource::Mmap(ref map) => scan_image(map, workers, obs, &mut rows, &mut eq)?,
-        TraceSource::Reader(r) => {
-            let mut blocks = Clog2Blocks::open(r)?;
-            let table = build_categories(&blocks.state_defs, &blocks.event_defs);
-            let nranks = blocks.nranks;
-            let mut by_rank: std::collections::BTreeMap<u32, RankScan> =
-                std::collections::BTreeMap::new();
-            for item in &mut blocks {
-                let (rank, records) = item?;
-                let input = [BlockInput::Records(rank, records.as_slice())];
-                let mut scan = scan_sources(&input, &table, workers, obs)
-                    .pop()
-                    .expect("one block scanned");
-                spill_scan(&mut scan, &mut rows, &mut eq)?;
-                by_rank.insert(rank, scan);
-            }
-            blocks.finish()?;
-            (table, by_rank.into_values().collect(), nranks)
-        }
-    };
-
-    // Shard warnings flow into the global list in rank order — exactly
-    // the in-memory merge.
-    let mut warnings = Vec::new();
-    for s in &mut shards {
-        warnings.append(&mut s.warnings);
-    }
-    Ok(Prepared {
-        table,
-        shards,
-        warnings,
-        rows,
-        eq,
-        nranks,
-    })
-}
-
-/// Pass A over a raw byte image (`Bytes` or `Mmap`): zero-copy scan,
-/// one rank resident at a time.
-fn scan_image(
-    bytes: &[u8],
-    workers: usize,
-    obs: Option<&obs::Obs>,
-    rows: &mut RowFile,
-    eq: &mut ExtSorter,
-) -> Result<(CategoryTable, Vec<RankScan>, u32), StreamError> {
-    let image = Clog2File::parse_image(bytes, crate::scan::CHUNK_RECORDS)?;
-    let table = build_categories(&image.state_defs, &image.event_defs);
-    let mut shards = Vec::with_capacity(image.blocks.len());
-    for b in &image.blocks {
-        let input = [BlockInput::Image(b)];
-        let mut scan = scan_sources(&input, &table, workers, obs)
-            .pop()
-            .expect("one block scanned");
-        rows.spill_shard((0, scan.rank), &scan.cols, eq)?;
-        scan.cols = DrawableColumns::new();
-        shards.push(scan);
-    }
-    Ok((table, shards, image.nranks))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convert::ConvertOptions;
-    use crate::SalvageReport;
-    use mpelog::{Color, Logger};
+    use crate::{SalvageReport, TornPolicy};
+    use mpelog::{Clog2File, Color, Logger};
 
     fn tmp_dir() -> PathBuf {
         let d = std::env::temp_dir().join(format!("slog2-oocore-test-{}", std::process::id()));
@@ -1000,7 +798,8 @@ mod tests {
     }
 
     fn in_memory_bytes(clog: &Clog2File, threads: usize) -> Vec<u8> {
-        Converter::from_options(&ConvertOptions::default().with_parallelism(threads))
+        Converter::new()
+            .parallelism(threads)
             .convert(TraceSource::InMemory(clog))
             .unwrap()
             .file

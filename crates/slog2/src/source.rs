@@ -1,9 +1,8 @@
 //! Where conversion input comes from: the [`TraceSource`] seam.
 //!
-//! The converter used to expose one entry point per input shape
-//! (`convert` for a decoded [`Clog2File`], `convert_reader` for a byte
-//! stream, nothing for a byte image). [`TraceSource`] names the shapes
-//! instead, so one `Converter::convert` drives them all:
+//! [`TraceSource`] names the input shapes, so one converter front end
+//! drives them all — for the in-memory `Converter::convert` and the
+//! out-of-core `Converter::convert_to_path` alike:
 //!
 //! * [`TraceSource::InMemory`] — an already-decoded log.
 //! * [`TraceSource::Bytes`] — a CLOG2 byte image; records are scanned

@@ -117,71 +117,6 @@ pub struct FrameTree {
     pub max_depth: u32,
 }
 
-/// Incremental bulk-loader for [`FrameTree`].
-///
-/// Accepts drawables in batches (e.g. one CLOG2 block at a time from the
-/// streaming converter), tracking the global time range as it goes, and
-/// builds the tree once at the end. Items are kept in arrival order, so
-/// a builder fed the same drawables in the same order as
-/// [`FrameTree::build`] produces a bit-identical tree.
-#[derive(Debug, Clone, Default)]
-pub struct FrameTreeBuilder {
-    items: Vec<Drawable>,
-    t0: f64,
-    t1: f64,
-}
-
-impl FrameTreeBuilder {
-    /// Empty builder.
-    pub fn new() -> FrameTreeBuilder {
-        FrameTreeBuilder {
-            items: Vec::new(),
-            t0: f64::INFINITY,
-            t1: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one drawable.
-    pub fn push(&mut self, d: Drawable) {
-        self.t0 = self.t0.min(d.start());
-        self.t1 = self.t1.max(d.end());
-        self.items.push(d);
-    }
-
-    /// Add a batch of drawables, preserving their order.
-    pub fn extend(&mut self, batch: impl IntoIterator<Item = Drawable>) {
-        for d in batch {
-            self.push(d);
-        }
-    }
-
-    /// How many drawables are loaded.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Is the builder empty?
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// The observed `[min start, max end]` range, or `[0, 0]` if empty.
-    pub fn range(&self) -> TimeWindow {
-        if self.t0.is_finite() {
-            TimeWindow::new(self.t0, self.t1)
-        } else {
-            TimeWindow::new(0.0, 0.0)
-        }
-    }
-
-    /// Build the tree over the observed range, using up to
-    /// `parallelism` threads (`<= 1` builds serially).
-    pub fn build(self, capacity: usize, max_depth: u32, parallelism: usize) -> FrameTree {
-        let w = self.range();
-        FrameTree::build_with_parallelism(self.items, w.t0, w.t1, capacity, max_depth, parallelism)
-    }
-}
-
 impl FrameTree {
     /// Build a tree over `[t0, t1]` from `drawables`.
     ///
@@ -194,43 +129,17 @@ impl FrameTree {
         capacity: usize,
         max_depth: u32,
     ) -> FrameTree {
-        Self::build_with_parallelism(drawables, t0, t1, capacity, max_depth, 1)
+        Build::new(&Owned, capacity, max_depth).tree(drawables, t0, t1, 1)
     }
 
-    /// Like [`build`](Self::build), forking the subtree recursion onto
-    /// up to `parallelism` scoped threads.
-    ///
-    /// The result is bit-identical to the serial build: every node's
-    /// preview is accumulated from that node's own item list in item
-    /// order, exactly as in the serial recursion — parallelism only
-    /// changes *which thread* runs an independent subtree, never the
-    /// order of any float accumulation.
-    pub fn build_with_parallelism(
-        drawables: Vec<Drawable>,
-        t0: f64,
-        t1: f64,
-        capacity: usize,
-        max_depth: u32,
-        parallelism: usize,
-    ) -> FrameTree {
-        let capacity = capacity.max(1);
-        // Each fork level doubles the worker count: budget = ceil(log2 n).
-        let forks = parallelism.max(1).next_power_of_two().trailing_zeros();
-        let root = build_node(drawables, t0, t1, 0, capacity, max_depth, forks);
-        FrameTree {
-            root,
-            capacity,
-            max_depth,
-        }
-    }
-
-    /// Build a tree directly from columnar drawable storage.
+    /// Build a tree directly from columnar drawable storage, forking
+    /// the subtree recursion onto up to `parallelism` scoped threads.
     ///
     /// The recursion partitions `u32` index vectors instead of moving
     /// 80-byte `Drawable` values, and only materializes enum rows once,
-    /// at the node that finally owns them. The resulting tree is
-    /// bit-identical to [`build_with_parallelism`] over
-    /// `cols.to_drawable(0..len)` — pinned by a unit test below.
+    /// at the node that finally owns them. The result is bit-identical
+    /// to [`build`](Self::build) over `cols.to_drawable(0..len)` at
+    /// every parallelism setting — pinned by a unit test below.
     pub(crate) fn build_columnar(
         cols: &DrawableColumns,
         t0: f64,
@@ -239,15 +148,8 @@ impl FrameTree {
         max_depth: u32,
         parallelism: usize,
     ) -> FrameTree {
-        let capacity = capacity.max(1);
-        let forks = parallelism.max(1).next_power_of_two().trailing_zeros();
         let idx: Vec<u32> = (0..cols.len() as u32).collect();
-        let root = build_node_cols(cols, idx, t0, t1, 0, capacity, max_depth, forks);
-        FrameTree {
-            root,
-            capacity,
-            max_depth,
-        }
+        Build::new(cols, capacity, max_depth).tree(idx, t0, t1, parallelism)
     }
 
     /// All drawables overlapping the closed window `w`.
@@ -288,190 +190,164 @@ impl FrameTree {
     }
 }
 
-fn build_node(
-    items: Vec<Drawable>,
-    t0: f64,
-    t1: f64,
-    depth: u32,
-    capacity: usize,
-    max_depth: u32,
-    forks: u32,
-) -> FrameNode {
-    // The preview over the whole subtree is accumulated here, top-down,
-    // from this node's full item list in item order. Keeping that exact
-    // accumulation (instead of merging child previews bottom-up) is what
-    // makes the forked build byte-identical to the serial one: f64
-    // summation is association-sensitive, so the merge order must not
-    // depend on how the recursion is scheduled.
-    let mut preview = Preview::default();
-    for d in &items {
-        preview.add(d.category(), d.duration());
+/// A row store the frame-tree recursion partitions: owned
+/// [`Drawable`]s, or row indices into [`DrawableColumns`].
+trait Rows: Sync {
+    type Row: Send;
+    /// Earliest time of a row.
+    fn start(&self, row: &Self::Row) -> f64;
+    /// Latest time of a row.
+    fn end(&self, row: &Self::Row) -> f64;
+    /// `(category, duration)` of a row, for the preview.
+    fn weight(&self, row: &Self::Row) -> (CategoryId, f64);
+    /// The rows a node finally keeps, as drawables.
+    fn place(&self, rows: Vec<Self::Row>) -> Vec<Drawable>;
+}
+
+/// Rows that already are drawables.
+struct Owned;
+
+impl Rows for Owned {
+    type Row = Drawable;
+
+    fn start(&self, d: &Drawable) -> f64 {
+        d.start()
     }
 
-    let splittable = items.len() > capacity && depth < max_depth && t1 > t0;
-    if !splittable {
-        return FrameNode {
-            t0,
-            t1,
-            depth,
-            drawables: items,
-            preview,
-            children: None,
-        };
+    fn end(&self, d: &Drawable) -> f64 {
+        d.end()
     }
 
-    let mid = t0 + (t1 - t0) / 2.0;
-    let mut here = Vec::new();
-    let mut left = Vec::new();
-    let mut right = Vec::new();
-    for d in items {
-        if d.end() <= mid {
-            left.push(d);
-        } else if d.start() >= mid {
-            right.push(d);
-        } else {
-            here.push(d);
-        }
+    fn weight(&self, d: &Drawable) -> (CategoryId, f64) {
+        (d.category(), d.duration())
     }
-    if left.is_empty() && right.is_empty() {
-        // Everything straddles the midpoint; splitting gains nothing.
-        return FrameNode {
-            t0,
-            t1,
-            depth,
-            drawables: here,
-            preview,
-            children: None,
-        };
-    }
-    // Fork the right subtree onto a scoped worker while this thread
-    // recurses left; tiny subtrees are not worth a thread spawn.
-    const FORK_THRESHOLD: usize = 4096;
-    let (lchild, rchild) = if forks > 0 && left.len().min(right.len()) >= FORK_THRESHOLD {
-        std::thread::scope(|s| {
-            let rh =
-                s.spawn(|| build_node(right, mid, t1, depth + 1, capacity, max_depth, forks - 1));
-            let l = build_node(left, t0, mid, depth + 1, capacity, max_depth, forks - 1);
-            (l, rh.join().expect("tree build worker panicked"))
-        })
-    } else {
-        // Sequential children: left's forked workers (if any) are joined
-        // before right starts, so the budget can pass down unchanged
-        // without exceeding the concurrency cap.
-        (
-            build_node(left, t0, mid, depth + 1, capacity, max_depth, forks),
-            build_node(right, mid, t1, depth + 1, capacity, max_depth, forks),
-        )
-    };
-    FrameNode {
-        t0,
-        t1,
-        depth,
-        drawables: here,
-        preview,
-        children: Some(Box::new((lchild, rchild))),
+
+    fn place(&self, rows: Vec<Drawable>) -> Vec<Drawable> {
+        rows
     }
 }
 
-#[allow(clippy::too_many_arguments)] // mirrors build_node, plus the column store
-fn build_node_cols(
-    cols: &DrawableColumns,
-    items: Vec<u32>,
-    t0: f64,
-    t1: f64,
-    depth: u32,
-    capacity: usize,
-    max_depth: u32,
-    forks: u32,
-) -> FrameNode {
-    // Same top-down, in-order preview accumulation as `build_node`; see
-    // the comment there for why this ordering is load-bearing.
-    let mut preview = Preview::default();
-    for &i in &items {
-        preview.add(cols.category(i as usize), cols.duration(i as usize));
+impl Rows for DrawableColumns {
+    type Row = u32;
+
+    fn start(&self, &i: &u32) -> f64 {
+        DrawableColumns::start(self, i as usize)
     }
 
-    let splittable = items.len() > capacity && depth < max_depth && t1 > t0;
-    if !splittable {
-        return FrameNode {
-            t0,
-            t1,
-            depth,
-            drawables: materialize(cols, &items),
-            preview,
-            children: None,
-        };
+    fn end(&self, &i: &u32) -> f64 {
+        DrawableColumns::end(self, i as usize)
     }
 
-    let mid = t0 + (t1 - t0) / 2.0;
-    let mut here = Vec::new();
-    let mut left = Vec::new();
-    let mut right = Vec::new();
-    for i in items {
-        let (s, e) = (cols.start(i as usize), cols.end(i as usize));
-        if e <= mid {
-            left.push(i);
-        } else if s >= mid {
-            right.push(i);
-        } else {
-            here.push(i);
-        }
+    fn weight(&self, &i: &u32) -> (CategoryId, f64) {
+        (self.category(i as usize), self.duration(i as usize))
     }
-    if left.is_empty() && right.is_empty() {
-        return FrameNode {
-            t0,
-            t1,
-            depth,
-            drawables: materialize(cols, &here),
-            preview,
-            children: None,
-        };
-    }
-    const FORK_THRESHOLD: usize = 4096;
-    let (lchild, rchild) = if forks > 0 && left.len().min(right.len()) >= FORK_THRESHOLD {
-        std::thread::scope(|s| {
-            let rh = s.spawn(|| {
-                build_node_cols(
-                    cols,
-                    right,
-                    mid,
-                    t1,
-                    depth + 1,
-                    capacity,
-                    max_depth,
-                    forks - 1,
-                )
-            });
-            let l = build_node_cols(
-                cols,
-                left,
-                t0,
-                mid,
-                depth + 1,
-                capacity,
-                max_depth,
-                forks - 1,
-            );
-            (l, rh.join().expect("tree build worker panicked"))
-        })
-    } else {
-        (
-            build_node_cols(cols, left, t0, mid, depth + 1, capacity, max_depth, forks),
-            build_node_cols(cols, right, mid, t1, depth + 1, capacity, max_depth, forks),
-        )
-    };
-    FrameNode {
-        t0,
-        t1,
-        depth,
-        drawables: materialize(cols, &here),
-        preview,
-        children: Some(Box::new((lchild, rchild))),
+
+    fn place(&self, rows: Vec<u32>) -> Vec<Drawable> {
+        rows.iter().map(|&i| self.to_drawable(i as usize)).collect()
     }
 }
 
-fn materialize(cols: &DrawableColumns, idx: &[u32]) -> Vec<Drawable> {
-    idx.iter().map(|&i| cols.to_drawable(i as usize)).collect()
+/// The frame-tree recursion over one row store.
+struct Build<'a, S: Rows> {
+    rows: &'a S,
+    capacity: usize,
+    max_depth: u32,
+}
+
+impl<'a, S: Rows> Build<'a, S> {
+    fn new(rows: &'a S, capacity: usize, max_depth: u32) -> Self {
+        Build {
+            rows,
+            capacity: capacity.max(1),
+            max_depth,
+        }
+    }
+
+    fn tree(&self, items: Vec<S::Row>, t0: f64, t1: f64, parallelism: usize) -> FrameTree {
+        // Each fork level doubles the worker count: budget = ceil(log2 n).
+        let forks = parallelism.max(1).next_power_of_two().trailing_zeros();
+        FrameTree {
+            root: self.node(items, t0, t1, 0, forks),
+            capacity: self.capacity,
+            max_depth: self.max_depth,
+        }
+    }
+
+    fn node(&self, items: Vec<S::Row>, t0: f64, t1: f64, depth: u32, forks: u32) -> FrameNode {
+        // The preview over the whole subtree is accumulated here,
+        // top-down, from this node's full item list in item order.
+        // Keeping that exact accumulation (instead of merging child
+        // previews bottom-up) is what makes the forked build
+        // byte-identical to the serial one: f64 summation is
+        // association-sensitive, so the merge order must not depend on
+        // how the recursion is scheduled.
+        let mut preview = Preview::default();
+        for row in &items {
+            let (cat, dur) = self.rows.weight(row);
+            preview.add(cat, dur);
+        }
+        let (drawables, children) = self.split(items, t0, t1, depth, forks);
+        FrameNode {
+            t0,
+            t1,
+            depth,
+            drawables,
+            preview,
+            children,
+        }
+    }
+
+    /// The rows a node over `[t0, t1]` keeps, and its children if
+    /// splitting at the midpoint moves any row down.
+    fn split(
+        &self,
+        items: Vec<S::Row>,
+        t0: f64,
+        t1: f64,
+        depth: u32,
+        forks: u32,
+    ) -> (Vec<Drawable>, Option<Box<(FrameNode, FrameNode)>>) {
+        let splittable = items.len() > self.capacity && depth < self.max_depth && t1 > t0;
+        if !splittable {
+            return (self.rows.place(items), None);
+        }
+        let mid = t0 + (t1 - t0) / 2.0;
+        let mut here = Vec::new();
+        let mut left = Vec::new();
+        let mut right = Vec::new();
+        for row in items {
+            if self.rows.end(&row) <= mid {
+                left.push(row);
+            } else if self.rows.start(&row) >= mid {
+                right.push(row);
+            } else {
+                here.push(row);
+            }
+        }
+        if left.is_empty() && right.is_empty() {
+            // Everything straddles the midpoint; splitting gains nothing.
+            return (self.rows.place(here), None);
+        }
+        // Fork the right subtree onto a scoped worker while this thread
+        // recurses left; tiny subtrees are not worth a thread spawn.
+        const FORK_THRESHOLD: usize = 4096;
+        let children = if forks > 0 && left.len().min(right.len()) >= FORK_THRESHOLD {
+            std::thread::scope(|s| {
+                let rh = s.spawn(|| self.node(right, mid, t1, depth + 1, forks - 1));
+                let l = self.node(left, t0, mid, depth + 1, forks - 1);
+                (l, rh.join().expect("tree build worker panicked"))
+            })
+        } else {
+            // Sequential children: left's forked workers (if any) are
+            // joined before right starts, so the budget can pass down
+            // unchanged without exceeding the concurrency cap.
+            (
+                self.node(left, t0, mid, depth + 1, forks),
+                self.node(right, mid, t1, depth + 1, forks),
+            )
+        };
+        (self.rows.place(here), Some(Box::new(children)))
+    }
 }
 
 impl Query for FrameTree {
@@ -702,18 +578,10 @@ mod tests {
             .collect()
     }
 
+    /// The columnar build, forked across threads, is bit-identical to
+    /// the serial build over the same rows as owned drawables.
     #[test]
-    fn parallel_build_is_identical_to_serial() {
-        let ds = forking_input();
-        let serial = FrameTree::build(ds.clone(), 0.0, 20.1, 64, 16);
-        for threads in [2, 3, 4, 8] {
-            let par = FrameTree::build_with_parallelism(ds.clone(), 0.0, 20.1, 64, 16, threads);
-            assert_eq!(par, serial, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn columnar_build_is_identical_to_enum_build() {
+    fn columnar_parallel_build_is_identical_to_serial_enum_build() {
         use crate::drawable::ArrowDrawable;
         let mut ds = forking_input();
         // Mix in events, arrows (including a backward one), and texts so
@@ -749,45 +617,12 @@ mod tests {
         for d in &ds {
             cols.push(d);
         }
-        for threads in [1, 4] {
-            let reference =
-                FrameTree::build_with_parallelism(ds.clone(), 0.0, 20.1, 64, 16, threads);
+        let reference = FrameTree::build(ds, 0.0, 20.1, 64, 16);
+        for threads in [1, 2, 3, 4, 8] {
             let columnar = FrameTree::build_columnar(&cols, 0.0, 20.1, 64, 16, threads);
             assert_eq!(columnar, reference, "{threads} threads");
         }
-    }
-
-    #[test]
-    fn builder_matches_direct_build() {
-        let ds = forking_input();
-        let (mut t0, mut t1) = (f64::INFINITY, f64::NEG_INFINITY);
-        for d in &ds {
-            t0 = t0.min(d.start());
-            t1 = t1.max(d.end());
-        }
-        let direct = FrameTree::build(ds.clone(), t0, t1, 32, 12);
-
-        // Feed the builder in uneven batches, as a streaming source would.
-        let mut b = FrameTreeBuilder::new();
-        let mut rest = ds;
-        let mut batch = 1;
-        while !rest.is_empty() {
-            let take = batch.min(rest.len());
-            b.extend(rest.drain(..take));
-            batch = batch * 3 + 1;
-        }
-        assert_eq!(b.len(), direct.total_drawables());
-        assert_eq!(b.range(), TimeWindow::new(t0, t1));
-        assert_eq!(b.build(32, 12, 4), direct);
-    }
-
-    #[test]
-    fn empty_builder_builds_empty_tree() {
-        let b = FrameTreeBuilder::new();
-        assert!(b.is_empty());
-        assert_eq!(b.range(), TimeWindow::new(0.0, 0.0));
-        let t = b.build(8, 4, 2);
-        assert_eq!(t.total_drawables(), 0);
-        assert_eq!(t, FrameTree::build(vec![], 0.0, 0.0, 8, 4));
+        let empty = FrameTree::build_columnar(&DrawableColumns::new(), 0.0, 0.0, 8, 4, 2);
+        assert_eq!(empty, FrameTree::build(vec![], 0.0, 0.0, 8, 4));
     }
 }

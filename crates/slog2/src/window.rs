@@ -12,8 +12,8 @@
 //!   a window edge is drawn, matching Jumpshot's behaviour.
 //!
 //! [`Query`] is the read-side trait over that definition: anything that
-//! can answer "what is in this window?" — a [`FrameTree`], a whole
-//! [`Slog2File`], or the service's per-rank index — implements it, and
+//! can answer "what is in this window?" — a [`FrameTree`](crate::FrameTree),
+//! a whole [`Slog2File`](crate::Slog2File), or the service's per-rank index — implements it, and
 //! callers (renderers, the HTTP server, benchmarks) stay agnostic about
 //! which one they are talking to.
 

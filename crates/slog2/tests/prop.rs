@@ -430,9 +430,20 @@ proptest! {
     #[test]
     fn every_source_thread_count_and_budget_is_byte_identical(
         per_rank in arb_rank_records(),
+        capacity in prop_oneof![Just(1usize), Just(4), Just(64)],
+        max_depth in prop_oneof![Just(0u32), Just(2), Just(16), Just(33)],
+        named in any::<bool>(),
     ) {
         let clog = clog_from(per_rank);
-        let baseline = Converter::new()
+        // Tree shape and timeline names reach the header and node
+        // writers of both drivers; depth 33 takes the out-of-core
+        // driver's in-memory fallback.
+        let mut base = Converter::new().frame_capacity(capacity).max_depth(max_depth);
+        if named {
+            base = base.timeline_names((0..clog.nranks).map(|r| format!("rank-{r}")).collect());
+        }
+        let baseline = base
+            .clone()
             .parallelism(1)
             .convert(TraceSource::InMemory(&clog))
             .unwrap();
@@ -444,7 +455,7 @@ proptest! {
         std::fs::write(&clog_path, &clog_bytes).unwrap();
 
         for threads in [1usize, 2, 8] {
-            let conv = Converter::new().parallelism(threads);
+            let conv = base.clone().parallelism(threads);
             let m = conv.convert(TraceSource::InMemory(&clog)).unwrap();
             prop_assert_eq!(&m.warnings, &baseline.warnings, "warnings, {} threads", threads);
             prop_assert_eq!(m.file.to_bytes(), want.clone(), "InMemory, {} threads", threads);
@@ -460,7 +471,7 @@ proptest! {
             // Out-of-core: unbounded, and a 1-byte budget that forces
             // every sorter to spill runs to disk.
             for budget in [None, Some(1usize)] {
-                let mut oc = Converter::new().parallelism(threads).spill_dir(dir.clone());
+                let mut oc = conv.clone().spill_dir(dir.clone());
                 if let Some(bytes) = budget {
                     oc = oc.memory_budget(bytes);
                 }
@@ -507,26 +518,40 @@ proptest! {
         let want = baseline.file.to_bytes();
         let dir = prop_dir();
         let case = case_id();
+        // The decoded form of the torn image: what a caller that already
+        // salvaged the log hands over in memory.
+        let salvaged = Clog2File::salvage_bytes(torn).file;
+        let torn_path = dir.join(format!("salvage-{case}.pclog2"));
+        std::fs::write(&torn_path, torn).unwrap();
+        let sources = || {
+            [
+                ("Bytes", TraceSource::Bytes(torn)),
+                ("Reader", TraceSource::reader(torn)),
+                ("InMemory", TraceSource::InMemory(&salvaged)),
+                ("Mmap", TraceSource::mmap(&torn_path).unwrap()),
+            ]
+        };
 
         for threads in [2usize, 8] {
             let conv = Converter::new().parallelism(threads).on_torn(policy.clone());
-            let b = conv.convert(TraceSource::Bytes(torn)).unwrap();
-            prop_assert_eq!(&b.warnings, &baseline.warnings, "salvage warnings, {} threads", threads);
-            prop_assert_eq!(b.file.to_bytes(), want.clone(), "salvage Bytes, {} threads", threads);
-            let r = conv.convert(TraceSource::reader(torn)).unwrap();
-            prop_assert_eq!(r.file.to_bytes(), want.clone(), "salvage Reader, {} threads", threads);
-            let out = dir.join(format!("salvage-{case}-t{threads}.pslog2"));
-            let oc = Converter::new()
-                .parallelism(threads)
-                .on_torn(policy.clone())
-                .memory_budget(1)
-                .spill_dir(dir.clone());
-            let summary = oc.convert_to_path(TraceSource::Bytes(torn), &out).unwrap();
-            prop_assert_eq!(&summary.warnings, &baseline.warnings,
-                "salvage oocore warnings, {} threads", threads);
-            let got = std::fs::read(&out).unwrap();
-            let _ = std::fs::remove_file(&out);
-            prop_assert_eq!(got, want.clone(), "salvage oocore, {} threads", threads);
+            for (kind, src) in sources() {
+                let c = conv.convert(src).unwrap();
+                prop_assert_eq!(&c.warnings, &baseline.warnings,
+                    "salvage {} warnings, {} threads", kind, threads);
+                prop_assert_eq!(c.file.to_bytes(), want.clone(),
+                    "salvage {}, {} threads", kind, threads);
+            }
+            let oc = conv.memory_budget(1).spill_dir(dir.clone());
+            for (kind, src) in sources() {
+                let out = dir.join(format!("salvage-{case}-t{threads}-{kind}.pslog2"));
+                let summary = oc.convert_to_path(src, &out).unwrap();
+                prop_assert_eq!(&summary.warnings, &baseline.warnings,
+                    "salvage oocore {} warnings, {} threads", kind, threads);
+                let got = std::fs::read(&out).unwrap();
+                let _ = std::fs::remove_file(&out);
+                prop_assert_eq!(got, want.clone(), "salvage oocore {}, {} threads", kind, threads);
+            }
         }
+        let _ = std::fs::remove_file(&torn_path);
     }
 }

@@ -27,7 +27,7 @@
 //! never a 500.
 //!
 //! [`App`] bundles the registry with the request-level
-//! [`ObsPlane`](crate::obsplane::ObsPlane), the shared obs registry,
+//! [`ObsPlane`], the shared obs registry,
 //! the server [`Limits`], and the drain flag. The HTTP layer serves an
 //! `Arc<App>`; one-trace embedders (tests, benches) use
 //! [`App::single`].

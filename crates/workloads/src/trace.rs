@@ -111,7 +111,7 @@ const BATCH_CALLS: usize = 4096;
 
 /// Streams the byte image of [`synthetic_clog`]`(ranks, calls)` through
 /// `io::Read` without ever materializing the log: records are generated
-/// and encoded one [`BATCH_CALLS`]-sized batch at a time.
+/// and encoded one `BATCH_CALLS`-sized batch at a time.
 ///
 /// The bytes are pinned identical to
 /// `synthetic_clog(ranks, calls).to_bytes()` by test, so a benchmark
