@@ -138,28 +138,10 @@ impl Record {
         }
     }
 
-    /// Deserialize one record.
+    /// Deserialize one record: [`Record::decode_view`], with the text
+    /// copied out.
     pub fn decode(r: &mut Reader<'_>) -> Result<Record, WireError> {
-        match r.get_u8()? {
-            KIND_EVENT => Ok(Record::Event {
-                ts: r.get_f64()?,
-                id: EventId(r.get_u32()?),
-                text: r.get_str()?,
-            }),
-            KIND_SEND => Ok(Record::Send {
-                ts: r.get_f64()?,
-                dst: r.get_u32()?,
-                tag: r.get_u32()?,
-                size: r.get_u32()?,
-            }),
-            KIND_RECV => Ok(Record::Recv {
-                ts: r.get_f64()?,
-                src: r.get_u32()?,
-                tag: r.get_u32()?,
-                size: r.get_u32()?,
-            }),
-            k => Err(WireError::Corrupt(format!("unknown record kind {k}"))),
-        }
+        Record::decode_view(r).map(Record::from)
     }
 }
 
@@ -239,6 +221,20 @@ impl<'a> From<&'a Record> for RecordView<'a> {
     }
 }
 
+impl From<RecordView<'_>> for Record {
+    fn from(v: RecordView<'_>) -> Record {
+        match v {
+            RecordView::Event { ts, id, text } => Record::Event {
+                ts,
+                id,
+                text: text.to_string(),
+            },
+            RecordView::Send { ts, dst, tag, size } => Record::Send { ts, dst, tag, size },
+            RecordView::Recv { ts, src, tag, size } => Record::Recv { ts, src, tag, size },
+        }
+    }
+}
+
 impl Record {
     /// Deserialize one record without copying its text (see
     /// [`RecordView`]).
@@ -261,20 +257,6 @@ impl Record {
                 tag: r.get_u32()?,
                 size: r.get_u32()?,
             }),
-            k => Err(WireError::Corrupt(format!("unknown record kind {k}"))),
-        }
-    }
-
-    /// Advance `r` past one encoded record without materializing it —
-    /// the boundary pre-pass that lets byte-image scans split a block
-    /// into record-aligned chunks.
-    pub fn skip(r: &mut Reader<'_>) -> Result<(), WireError> {
-        match r.get_u8()? {
-            KIND_EVENT => {
-                r.skip(12)?; // ts + id
-                r.skip_str()
-            }
-            KIND_SEND | KIND_RECV => r.skip(20), // ts + 3×u32
             k => Err(WireError::Corrupt(format!("unknown record kind {k}"))),
         }
     }
@@ -409,7 +391,7 @@ mod tests {
     }
 
     #[test]
-    fn skip_and_decode_view_agree_with_decode() {
+    fn decode_view_agrees_with_decode() {
         let recs = [
             Record::Event {
                 ts: 1.5,
@@ -434,20 +416,16 @@ mod tests {
             rec.encode(&mut w);
         }
         let bytes = w.into_bytes();
-        // skip lands on the same boundaries decode does
-        let mut skipper = Reader::new(&bytes);
+        // decode_view sees the same fields and lands on the same
+        // boundaries, borrowing the text
+        let mut viewer = Reader::new(&bytes);
         let mut decoder = Reader::new(&bytes);
         for rec in &recs {
-            Record::skip(&mut skipper).unwrap();
-            assert_eq!(&Record::decode(&mut decoder).unwrap(), rec);
-            assert_eq!(skipper.position(), decoder.position());
-        }
-        assert_eq!(skipper.remaining(), 0);
-        // decode_view sees the same fields, borrowing the text
-        let mut viewer = Reader::new(&bytes);
-        for rec in &recs {
             assert_eq!(Record::decode_view(&mut viewer).unwrap(), rec.into());
+            assert_eq!(&Record::decode(&mut decoder).unwrap(), rec);
+            assert_eq!(viewer.position(), decoder.position());
         }
+        assert_eq!(viewer.remaining(), 0);
     }
 
     #[test]
@@ -463,8 +441,10 @@ mod tests {
             Record::decode_view(&mut Reader::new(&bytes)),
             Err(WireError::BadUtf8)
         );
-        // ...but skip doesn't care about text contents.
-        assert!(Record::skip(&mut Reader::new(&bytes)).is_ok());
+        assert_eq!(
+            Record::decode(&mut Reader::new(&bytes)),
+            Err(WireError::BadUtf8)
+        );
     }
 
     #[test]

@@ -33,9 +33,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use mpelog::Clog2File;
-use slog2::{
-    Conversion, Converter, FailureKind, RankVerdict, SalvageReport, TornPolicy, TraceSource,
-};
+use slog2::{Conversion, Converter, SalvageReport, TornPolicy, TraceSource};
 
 struct Args {
     input: PathBuf,
@@ -155,40 +153,27 @@ fn main() -> ExitCode {
     }
 
     // Pick the trace source; owned carriers outlive the borrow.
-    let salvaged_clog;
+    let salvaged_bytes;
     let whole_clog;
     let (source, provenance) = if args.salvage {
-        let bytes = match std::fs::read(&args.input) {
+        salvaged_bytes = match std::fs::read(&args.input) {
             Ok(b) => b,
             Err(e) => {
                 eprintln!("clog2slog2: cannot read {}: {e}", args.input.display());
                 return ExitCode::from(2);
             }
         };
-        let s = Clog2File::salvage_bytes(&bytes);
-        let mut report = SalvageReport {
-            records_recovered: s.records_recovered,
-            bytes_recovered: s.bytes_recovered,
-            truncated: s.truncated,
-            ..Default::default()
-        };
-        if let Some(rank) = s.torn_rank {
-            report.verdicts.push(RankVerdict {
-                rank,
-                kind: FailureKind::Aborted,
-                detail: "log truncated mid-block".into(),
-            });
-        }
+        let s = Clog2File::salvage_image(&salvaged_bytes, usize::MAX);
         let provenance = format!(
             "salvaged {} records ({} of {} bytes) over {} ranks",
             s.records_recovered,
             s.bytes_recovered,
-            bytes.len(),
+            salvaged_bytes.len(),
             s.file.nranks
         );
+        let report = SalvageReport::from_salvage(&s, "log truncated mid-block");
         conv = conv.on_torn(TornPolicy::Salvage(report));
-        salvaged_clog = s.file;
-        (TraceSource::InMemory(&salvaged_clog), provenance)
+        (TraceSource::Bytes(&salvaged_bytes), provenance)
     } else if args.stream {
         let file = match std::fs::File::open(&args.input) {
             Ok(f) => f,

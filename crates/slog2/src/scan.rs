@@ -36,10 +36,9 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mpelog::clog2::ImageBlock;
+use mpelog::clog2::{ImageBlock, ImageChunk};
 use mpelog::ids::EventId;
 use mpelog::record::{EventDef, Record, RecordView, StateDef};
-use mpelog::wire::Reader;
 use mpelog::Color;
 
 use crate::columnar::{DrawableColumns, KIND_STATE};
@@ -391,14 +390,14 @@ fn stitch_rank(rank: u32, chunks: Vec<ChunkScan>, table: &CategoryTable) -> Rank
 }
 
 /// A scannable block: either decoded records or a zero-copy byte image
-/// (pre-chunked and pre-validated by `Clog2File::parse_image`).
+/// (pre-chunked and pre-validated by the `mpelog::clog2` walk).
 pub(crate) enum BlockInput<'a> {
     Records(u32, &'a [Record]),
     Image(&'a ImageBlock<'a>),
 }
 
 impl BlockInput<'_> {
-    fn rank(&self) -> u32 {
+    pub(crate) fn rank(&self) -> u32 {
         match self {
             BlockInput::Records(rank, _) => *rank,
             BlockInput::Image(b) => b.rank,
@@ -420,22 +419,20 @@ impl BlockInput<'_> {
                 scan_chunk(*rank, recs[lo..hi].iter().map(RecordView::from), table)
             }
             BlockInput::Image(b) => match b.chunks.get(ci) {
-                Some(ch) => {
-                    let mut r = Reader::new(ch.data);
-                    let mut left = ch.n_records;
-                    let views = std::iter::from_fn(move || {
-                        if left == 0 {
-                            return None;
-                        }
-                        left -= 1;
-                        // parse_image fully validated every record.
-                        Some(Record::decode_view(&mut r).expect("records validated at parse"))
-                    });
-                    scan_chunk(b.rank, views, table)
-                }
+                Some(chunk) => scan_chunk(b.rank, chunk.views(), table),
                 None => scan_chunk(b.rank, std::iter::empty(), table),
             },
         }
+    }
+
+    /// Every record's timestamp, in block order.
+    pub(crate) fn timestamps(&self) -> impl Iterator<Item = f64> + '_ {
+        let (records, chunks): (&[Record], &[ImageChunk<'_>]) = match self {
+            BlockInput::Records(_, recs) => (recs, &[]),
+            BlockInput::Image(b) => (&[], &b.chunks),
+        };
+        let views = chunks.iter().flat_map(ImageChunk::views);
+        records.iter().map(Record::ts).chain(views.map(|v| v.ts()))
     }
 }
 

@@ -487,6 +487,36 @@ proptest! {
             }
         }
         let _ = std::fs::remove_file(&clog_path);
+
+        // One more input: the same image with a byte appended. Every
+        // strict source, on both drivers, rejects the trailing byte
+        // alike, and the out-of-core writer leaves no file behind.
+        let mut trailing = clog_bytes.clone();
+        trailing.push(0);
+        let trailing_path = dir.join(format!("case-{case}-trailing.pclog2"));
+        std::fs::write(&trailing_path, &trailing).unwrap();
+        prop_assert!(Clog2File::from_bytes(&trailing).is_err());
+        let sources = || {
+            [
+                ("Bytes", TraceSource::Bytes(&trailing)),
+                ("Reader", TraceSource::reader(&trailing[..])),
+                ("Mmap", TraceSource::mmap(&trailing_path).unwrap()),
+            ]
+        };
+        for threads in [1usize, 8] {
+            let conv = base.clone().parallelism(threads);
+            for (kind, src) in sources() {
+                prop_assert!(conv.convert(src).is_err(), "trailing {}, {} threads", kind, threads);
+            }
+            let oc = conv.memory_budget(1).spill_dir(dir.clone());
+            for (kind, src) in sources() {
+                let out = dir.join(format!("case-{case}-t{threads}-trailing-{kind}.pslog2"));
+                prop_assert!(oc.convert_to_path(src, &out).is_err(),
+                    "trailing oocore {}, {} threads", kind, threads);
+                prop_assert!(!out.exists(), "trailing oocore {} left {:?}", kind, out);
+            }
+        }
+        let _ = std::fs::remove_file(&trailing_path);
     }
 
     /// Salvage is a mode of the same builder, and the invariant holds

@@ -40,9 +40,7 @@ use std::time::Duration;
 use mpelog::Clog2File;
 use obs::{Counter, Gauge, ObsHandle};
 use pilot_vis::json::Json;
-use slog2::{
-    Converter, FailureKind, RankVerdict, SalvageReport, Slog2File, TornPolicy, TraceSource,
-};
+use slog2::{Converter, SalvageReport, Slog2File, TornPolicy, TraceSource};
 
 use crate::obsplane::ObsPlane;
 use crate::service::{fnv1a, TimelineService};
@@ -424,33 +422,21 @@ fn load_upload(bytes: &[u8]) -> Result<(Slog2File, bool), UploadError> {
         return Ok((file, false));
     }
     if Clog2File::sniff(bytes) {
-        let s = Clog2File::salvage_bytes(bytes);
-        let records: usize = s.file.blocks.values().map(Vec::len).sum();
-        if records == 0 {
+        // A validation-only walk for the recovery counts; the converter
+        // then walks the same bytes zero-copy.
+        let s = Clog2File::salvage_image(bytes, usize::MAX);
+        if s.records_recovered == 0 {
             return Err(UploadError::Invalid(
                 "CLOG2 body torn before any complete record".into(),
             ));
         }
-        let mut report = SalvageReport {
-            records_recovered: s.records_recovered,
-            bytes_recovered: s.bytes_recovered,
-            truncated: s.truncated,
-            ..Default::default()
-        };
-        if let Some(rank) = s.torn_rank {
-            report.verdicts.push(RankVerdict {
-                rank,
-                kind: FailureKind::Aborted,
-                detail: "upload truncated mid-block".into(),
-            });
-        }
-        let truncated = s.truncated;
+        let report = SalvageReport::from_salvage(&s, "upload truncated mid-block");
         let file = Converter::new()
             .on_torn(TornPolicy::Salvage(report))
-            .convert(TraceSource::InMemory(&s.file))
-            .expect("in-memory source cannot fail")
+            .convert(TraceSource::Bytes(bytes))
+            .expect("salvaging a byte image cannot fail")
             .file;
-        return Ok((file, truncated));
+        return Ok((file, s.truncated));
     }
     Err(UploadError::Invalid(
         "body is neither SLOG2 nor CLOG2 (unknown magic)".into(),
