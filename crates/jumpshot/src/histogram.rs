@@ -145,7 +145,7 @@ pub(crate) fn histogram_string(file: &Slog2File, w: TimeWindow, opts: &RenderOpt
         let crit = overlay.map(|ov| ov.seconds_on(*tl, t0, t1)).unwrap_or(0.0);
         let note = opts
             .row_note(*tl)
-            .map(|n| format!(" {}", crate::render::esc(n)))
+            .map(|n| format!(" {}", crate::svgout::escape(n)))
             .unwrap_or_default();
         if crit > 0.0 {
             let _ = writeln!(

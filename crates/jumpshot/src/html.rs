@@ -22,7 +22,7 @@ use crate::viewport::Viewport;
 
 pub(crate) fn html_string(file: &Slog2File, opts: &RenderOptions) -> String {
     // Render wide so zooming has detail to reveal.
-    let w = opts.window.unwrap_or(file.range);
+    let w = crate::renderer::effective_window(file, opts);
     let vp = Viewport::new(w.t0, w.t1.max(w.t0 + f64::MIN_POSITIVE), 2400).clamp_to(file.range);
     let svg = svg_string(file, &vp, opts);
     let legend = Legend::for_file(file);

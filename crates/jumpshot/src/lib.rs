@@ -36,6 +36,7 @@ pub mod popup;
 pub mod render;
 pub mod renderer;
 pub mod search;
+mod svgout;
 pub mod viewport;
 
 pub use histogram::{duration_stats, load_imbalance, TimelineHistogram};

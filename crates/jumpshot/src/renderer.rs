@@ -24,8 +24,16 @@ pub trait Renderer {
     fn render(&self, file: &Slog2File, opts: &RenderOptions) -> String;
 }
 
-fn effective_window(file: &Slog2File, opts: &RenderOptions) -> TimeWindow {
-    opts.window.unwrap_or(file.range)
+/// The window every backend renders: `opts.window`, or the file's
+/// range. A NaN bound (say, `t0=NaN` parsed from a query string) is
+/// replaced by the file range's bound on that side, so no backend ever
+/// sees a window it cannot order.
+pub(crate) fn effective_window(file: &Slog2File, opts: &RenderOptions) -> TimeWindow {
+    let Some(w) = opts.window else {
+        return file.range;
+    };
+    let or_range = |t: f64, bound: f64| if t.is_nan() { bound } else { t };
+    TimeWindow::new(or_range(w.t0, file.range.t0), or_range(w.t1, file.range.t1))
 }
 
 /// The SVG timeline canvas (states, preview stripes, bubbles, arrows).
@@ -181,6 +189,24 @@ mod tests {
         ] {
             let out = renderer_by_name(name).unwrap().render(&f, &opts);
             assert!(out.contains(marker), "{name} missing overlay: {out}");
+        }
+    }
+
+    #[test]
+    fn nan_window_bounds_fall_back_to_the_file_range() {
+        let f = file();
+        for name in ["svg", "ascii", "html", "hist"] {
+            let r = renderer_by_name(name).unwrap();
+            for (w, same_as) in [
+                (TimeWindow::new(f64::NAN, 0.5), TimeWindow::new(0.0, 0.5)),
+                (TimeWindow::new(0.25, f64::NAN), TimeWindow::new(0.25, 1.0)),
+                (TimeWindow::new(f64::NAN, f64::NAN), f.range),
+                (TimeWindow::new(2.0, f64::NAN), TimeWindow::new(1.0, 2.0)),
+            ] {
+                let got = r.render(&f, &RenderOptions::default().with_window(w));
+                let want = r.render(&f, &RenderOptions::default().with_window(same_as));
+                assert_eq!(got, want, "{name} window {w:?}");
+            }
         }
     }
 

@@ -796,6 +796,13 @@ pub fn route_request(
                     let range = svc.file().range;
                     let t0 = param!("t0" as f64, default range.t0);
                     let t1 = param!("t1" as f64, default range.t1);
+                    // A NaN bound parses as an f64 but names no time.
+                    for (name, t) in [("t0", t0), ("t1", t1)] {
+                        if t.is_nan() {
+                            let raw = get(name).unwrap_or_default();
+                            return (400, "text/plain", format!("bad {name}: {raw:?}\n"));
+                        }
+                    }
                     Some(TimeWindow::new(t0, t1))
                 }
             };
@@ -1121,6 +1128,14 @@ mod tests {
         assert_eq!(route(&app, "/v1/query?ranks=1,x").0, 400);
         assert_eq!(route(&app, "/v1/tile?rank=0&zoom=30&tile=0").0, 404);
         assert_eq!(route(&app, "/v1/render?backend=nope").0, 404);
+        assert_eq!(
+            route(&app, "/v1/render?t0=NaN"),
+            (400, "text/plain", "bad t0: \"NaN\"\n".to_string())
+        );
+        assert_eq!(
+            route(&app, "/v1/render?backend=ascii&t0=0&t1=nan"),
+            (400, "text/plain", "bad t1: \"nan\"\n".to_string())
+        );
         assert_eq!(route(&app, "/nowhere").0, 404);
         assert_eq!(route(&app, "/v1/info?trace=ghost").0, 404);
     }

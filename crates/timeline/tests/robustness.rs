@@ -149,6 +149,43 @@ fn stats_report_registry_occupancy() {
     assert_eq!(reg.get("evictions").and_then(Json::as_u64), Some(0));
 }
 
+/// A NaN window bound parses as an `f64`; `/v1/render` must answer it
+/// with a 400 on every backend, not panic the worker that renders it.
+#[test]
+fn nan_render_bounds_are_400_and_never_panic_a_worker() {
+    let app = App::single(TimelineService::from_file(test_file(2, 8)));
+    let mut server = serve(Arc::clone(&app), "127.0.0.1:0", 2).unwrap();
+    let mut client = Client::connect(&format!("127.0.0.1:{}", server.port())).unwrap();
+    for backend in ["svg", "html", "ascii", "hist"] {
+        for (query, bad) in [
+            ("t0=NaN", "t0"),
+            ("t0=1&t1=nan", "t1"),
+            ("t0=NaN&t1=NaN", "t0"),
+        ] {
+            let path = format!("/v1/render?backend={backend}&{query}");
+            let resp = client.get_full(&path).unwrap();
+            assert_eq!(resp.status, 400, "{path}: {}", resp.body);
+            assert!(
+                resp.body.starts_with(&format!("bad {bad}: ")),
+                "{path}: {}",
+                resp.body
+            );
+        }
+        // Infinite bounds are a window (the whole trace), not an error.
+        let (status, body) = client
+            .get(&format!("/v1/render?backend={backend}&t0=-inf&t1=inf"))
+            .unwrap();
+        assert_eq!(status, 200, "{backend}: {body}");
+    }
+    assert_eq!(
+        app.obs_handle()
+            .snapshot()
+            .counter("serve.http.worker_panic"),
+        0
+    );
+    server.stop();
+}
+
 /// One shared server for the whole fuzz run: the point is precisely
 /// that state (a worker that just ate garbage) carries over to the next
 /// case, so a leaked-thread or poisoned-lock bug compounds and shows.
